@@ -113,10 +113,9 @@ void BM_Indexed(benchmark::State& state) {
 void BM_IndexedParallel(benchmark::State& state) {
   Fixture& fixture = GetFixture(static_cast<size_t>(state.range(0)));
   ThreadPool pool(static_cast<size_t>(state.range(1)));
-  engine::RuleExecutor executor(*fixture.rules,
-                                {.use_index = true, .pool = &pool});
+  engine::RuleExecutor executor(*fixture.rules, {.use_index = true});
   for (auto _ : state) {
-    auto result = executor.Execute(fixture.items);
+    auto result = executor.Execute(fixture.items, &pool);
     benchmark::DoNotOptimize(result.matches_per_item);
   }
   state.counters["items/s"] = benchmark::Counter(

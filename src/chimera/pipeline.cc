@@ -62,6 +62,18 @@ ChimeraPipeline::~ChimeraPipeline() {
   trainer_.reset();
 }
 
+ShardServing::TenantPartition ChimeraPipeline::BuildPartition(
+    std::shared_ptr<const rules::RuleSet> rules) const {
+  ShardServing::TenantPartition partition;
+  partition.rule_classifier = std::make_shared<engine::RuleBasedClassifier>(
+      rules, engine::RuleClassifierOptions{
+                 .index_sample = config_.index_sample_titles});
+  partition.attr_classifier =
+      std::make_shared<engine::AttrValueClassifier>(rules);
+  partition.filter = std::make_shared<Filter>(std::move(rules));
+  return partition;
+}
+
 void ChimeraPipeline::RepublishShards(
     const std::vector<rules::ShardKey>& dirty) {
   // Rebuild stale shards outside every pipeline lock: the index build is
@@ -86,51 +98,28 @@ void ChimeraPipeline::RepublishShards(
     serving->shard_index = key.index();
     serving->rule_version = shard_snap.version;
     serving->tenant_versions = shard_snap.tenant_versions;
-    serving->rules = shard_snap.rules;
     // Partition the shard's rules by owning tenant. The common case — no
     // foreign-tenant rules — reuses the pinned set wholesale, so
     // single-tenant serving builds exactly what it always built.
-    bool has_foreign = false;
-    for (const rules::Rule& rule : shard_snap.rules->rules()) {
-      if (!rule.metadata().tenant.empty()) {
-        has_foreign = true;
-        break;
-      }
-    }
     std::shared_ptr<const rules::RuleSet> shared_rules = shard_snap.rules;
-    if (has_foreign) {
+    std::map<std::string, std::shared_ptr<rules::RuleSet>> tenant_sets;
+    const auto& all = shard_snap.rules->rules();
+    if (std::any_of(all.begin(), all.end(), [](const rules::Rule& rule) {
+          return !rule.metadata().tenant.empty();
+        })) {
       auto defaults = std::make_shared<rules::RuleSet>();
-      std::map<std::string, std::shared_ptr<rules::RuleSet>> tenant_sets;
-      for (const rules::Rule& rule : shard_snap.rules->rules()) {
+      for (const rules::Rule& rule : all) {
         const std::string& owner = rule.metadata().tenant;
-        if (owner.empty()) {
-          (void)defaults->Add(rule);
-          continue;
-        }
-        auto& set = tenant_sets[owner];
+        auto& set = owner.empty() ? defaults : tenant_sets[owner];
         if (set == nullptr) set = std::make_shared<rules::RuleSet>();
         (void)set->Add(rule);
       }
       shared_rules = std::move(defaults);
-      for (auto& [tenant, set] : tenant_sets) {
-        ShardServing::TenantPartition partition;
-        partition.rules = set;
-        partition.rule_classifier = std::make_shared<
-            engine::RuleBasedClassifier>(
-            set, engine::RuleClassifierOptions{
-                     .index_sample = config_.index_sample_titles});
-        partition.attr_classifier =
-            std::make_shared<engine::AttrValueClassifier>(set);
-        partition.filter = std::make_shared<Filter>(set);
-        serving->tenants.emplace(tenant, std::move(partition));
-      }
     }
-    serving->rule_classifier = std::make_shared<engine::RuleBasedClassifier>(
-        shared_rules, engine::RuleClassifierOptions{
-                          .index_sample = config_.index_sample_titles});
-    serving->attr_classifier =
-        std::make_shared<engine::AttrValueClassifier>(shared_rules);
-    serving->filter = std::make_shared<Filter>(shared_rules);
+    serving->shared = BuildPartition(std::move(shared_rules));
+    for (auto& [tenant, set] : tenant_sets) {
+      serving->tenants.emplace(tenant, BuildPartition(std::move(set)));
+    }
     built.push_back(std::move(serving));
   }
 
@@ -155,58 +144,9 @@ void ChimeraPipeline::RepublishAll() {
 }
 
 void ChimeraPipeline::ComposeAndSwapLocked() {
-  const auto tenant_version_of = [](const ShardServing& serving,
-                                    const std::string& tenant) -> uint64_t {
-    auto it = serving.tenant_versions.find(tenant);
-    return it == serving.tenant_versions.end() ? 0 : it->second;
-  };
-
   auto snap = std::make_shared<PipelineSnapshot>();
-  snap->shards = shard_cache_;
-  std::vector<std::shared_ptr<const engine::RuleBasedClassifier>> rule_shards;
-  std::vector<std::shared_ptr<const engine::AttrValueClassifier>> attr_shards;
-  std::vector<std::shared_ptr<const Filter>> filter_shards;
-  rule_shards.reserve(shard_cache_.size());
-  attr_shards.reserve(shard_cache_.size());
-  filter_shards.reserve(shard_cache_.size());
-  for (const auto& serving : shard_cache_) {
-    rule_shards.push_back(serving->rule_classifier);
-    attr_shards.push_back(serving->attr_classifier);
-    filter_shards.push_back(serving->filter);
-    snap->composite_rule_version += serving->rule_version;
-    // Order-sensitive: shard index is implicit in iteration order, so
-    // distinct per-shard version vectors get distinct fingerprints. The
-    // default tag hashes the default tenant's counters — identical to
-    // the shard versions in single-tenant histories, but insensitive to
-    // foreign tenants' commits, so a noisy tenant's edits never
-    // stale-drop the default partition's cache entries.
-    snap->rule_state_fingerprint = HashCombine(
-        snap->rule_state_fingerprint, tenant_version_of(*serving, {}));
-  }
-  snap->semantic_generation = semantic_gen_;
-  snap->rule_classifier = std::make_shared<engine::ShardedRuleClassifier>(
-      std::move(rule_shards));
-  snap->attr_classifier = std::make_shared<engine::ShardedAttrValueClassifier>(
-      std::move(attr_shards));
-  snap->filter = std::make_shared<ShardedFilter>(std::move(filter_shards));
-  snap->ensemble = ensemble_;
-  snap->suppressed = suppressed_;
-
-  auto voting = std::make_shared<VotingMaster>(config_.voting);
-  if (config_.use_rules) {
-    voting->AddMember(snap->rule_classifier, config_.rule_weight);
-    voting->AddMember(snap->attr_classifier, config_.attr_weight);
-  }
-  if (config_.use_learning && snap->ensemble != nullptr) {
-    voting->AddMember(snap->ensemble, config_.learning_weight);
-  }
-  snap->voting = std::move(voting);
-  snap->version = ++version_;
-
-  // Tenant views: one per tenant with rules or runtime state. Each view
-  // stacks the tenant's shard partitions after every shard's default
-  // build; classifier and filter share one positional order, so the
-  // batch executors' per-shard results line up.
+  snap->default_view = ComposeViewLocked({});
+  // One view per tenant with rules or runtime state.
   std::set<std::string> view_tenants;
   for (const auto& [tenant, runtime] : tenant_runtime_) {
     view_tenants.insert(tenant);
@@ -217,60 +157,87 @@ void ChimeraPipeline::ComposeAndSwapLocked() {
     }
   }
   for (const std::string& tenant : view_tenants) {
-    PipelineSnapshot::TenantView view;
-    std::vector<std::shared_ptr<const engine::RuleBasedClassifier>> rules_v;
-    std::vector<std::shared_ptr<const engine::AttrValueClassifier>> attrs_v;
-    std::vector<std::shared_ptr<const Filter>> filters_v;
-    uint64_t fingerprint = 0;
-    for (const auto& serving : shard_cache_) {
-      rules_v.push_back(serving->rule_classifier);
-      attrs_v.push_back(serving->attr_classifier);
-      filters_v.push_back(serving->filter);
-      // Pair the shared counter with the tenant's own, in shard order:
-      // a shared-rule commit re-tags every tenant's view, a tenant-rule
-      // commit re-tags only that tenant's.
-      fingerprint = HashCombine(fingerprint, tenant_version_of(*serving, {}));
+    snap->tenant_views.emplace(tenant, ComposeViewLocked(tenant));
+  }
+  snap->version = ++version_;
+
+  std::lock_guard<std::mutex> lock(snapshot_mu_);
+  snapshot_ = std::move(snap);
+}
+
+PipelineSnapshot::TenantView ChimeraPipeline::ComposeViewLocked(
+    const std::string& tenant) const {
+  const auto tenant_version_of = [](const ShardServing& serving,
+                                    const std::string& owner) -> uint64_t {
+    auto it = serving.tenant_versions.find(owner);
+    return it == serving.tenant_versions.end() ? 0 : it->second;
+  };
+
+  // Every shard's shared build first, then the tenant's own partitions;
+  // classifier and filter share one positional order, so the batch
+  // executors' per-shard results line up. The default tenant owns no
+  // partitions, so its view is the shared builds alone.
+  std::vector<std::shared_ptr<const engine::RuleBasedClassifier>> rule_parts;
+  std::vector<std::shared_ptr<const engine::AttrValueClassifier>> attr_parts;
+  std::vector<std::shared_ptr<const Filter>> filter_parts;
+  uint64_t fingerprint = 0;
+  for (const auto& serving : shard_cache_) {
+    rule_parts.push_back(serving->shared.rule_classifier);
+    attr_parts.push_back(serving->shared.attr_classifier);
+    filter_parts.push_back(serving->shared.filter);
+    // Order-sensitive: shard index is implicit in iteration order, so
+    // distinct per-shard version vectors get distinct fingerprints. The
+    // default view hashes the "" counters — identical to the shard
+    // versions in single-tenant histories, but insensitive to foreign
+    // tenants' commits. A tenant view pairs the shared counter with its
+    // own: a shared-rule commit re-tags every view, a tenant-rule commit
+    // re-tags only that tenant's.
+    fingerprint = HashCombine(fingerprint, tenant_version_of(*serving, {}));
+    if (!tenant.empty()) {
       fingerprint =
           HashCombine(fingerprint, tenant_version_of(*serving, tenant));
     }
-    for (const auto& serving : shard_cache_) {
-      auto it = serving->tenants.find(tenant);
-      if (it == serving->tenants.end()) continue;
-      rules_v.push_back(it->second.rule_classifier);
-      attrs_v.push_back(it->second.attr_classifier);
-      filters_v.push_back(it->second.filter);
-    }
-    view.rule_classifier =
-        std::make_shared<engine::ShardedRuleClassifier>(std::move(rules_v));
-    view.attr_classifier =
-        std::make_shared<engine::ShardedAttrValueClassifier>(
-            std::move(attrs_v));
-    view.filter = std::make_shared<ShardedFilter>(std::move(filters_v));
-    view.suppressed = suppressed_;
+  }
+  for (const auto& serving : shard_cache_) {
+    auto it = serving->tenants.find(tenant);
+    if (it == serving->tenants.end()) continue;
+    rule_parts.push_back(it->second.rule_classifier);
+    attr_parts.push_back(it->second.attr_classifier);
+    filter_parts.push_back(it->second.filter);
+  }
+
+  PipelineSnapshot::TenantView view;
+  view.rule_classifier = std::make_shared<engine::ShardedRuleClassifier>(
+      std::move(rule_parts));
+  view.filter = std::make_shared<ShardedFilter>(std::move(filter_parts));
+  view.suppressed = suppressed_;
+  std::shared_ptr<ml::EnsembleClassifier> ensemble = ensemble_;
+  uint64_t semantic = semantic_gen_;
+  if (!tenant.empty()) {
     uint64_t tenant_gen = 0;
     auto rt = tenant_runtime_.find(tenant);
     if (rt != tenant_runtime_.end()) {
-      view.ensemble = rt->second.ensemble;
+      if (rt->second.ensemble != nullptr) ensemble = rt->second.ensemble;
       view.suppressed.insert(rt->second.suppressed.begin(),
                              rt->second.suppressed.end());
       tenant_gen = rt->second.semantic_gen;
     }
-    if (view.ensemble == nullptr) view.ensemble = ensemble_;
-    view.tag = {fingerprint, HashCombine(semantic_gen_, tenant_gen)};
-    auto tenant_voting = std::make_shared<VotingMaster>(config_.voting);
-    if (config_.use_rules) {
-      tenant_voting->AddMember(view.rule_classifier, config_.rule_weight);
-      tenant_voting->AddMember(view.attr_classifier, config_.attr_weight);
-    }
-    if (config_.use_learning && view.ensemble != nullptr) {
-      tenant_voting->AddMember(view.ensemble, config_.learning_weight);
-    }
-    view.voting = std::move(tenant_voting);
-    snap->tenant_views.emplace(tenant, std::move(view));
+    semantic = HashCombine(semantic_gen_, tenant_gen);
   }
+  view.tag = {fingerprint, semantic};
 
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
-  snapshot_ = std::move(snap);
+  auto voting = std::make_shared<VotingMaster>(config_.voting);
+  if (config_.use_rules) {
+    voting->AddMember(view.rule_classifier, config_.rule_weight);
+    voting->AddMember(std::make_shared<engine::ShardedAttrValueClassifier>(
+                          std::move(attr_parts)),
+                      config_.attr_weight);
+  }
+  if (config_.use_learning && ensemble != nullptr) {
+    voting->AddMember(std::move(ensemble), config_.learning_weight);
+  }
+  view.voting = std::move(voting);
+  return view;
 }
 
 std::shared_ptr<const PipelineSnapshot> ChimeraPipeline::CurrentSnapshot()
@@ -420,7 +387,7 @@ RetrainReport ChimeraPipeline::RetrainNow(const std::string& tenant) {
 }
 
 uint64_t ChimeraPipeline::semantic_generation() const {
-  return CurrentSnapshot()->semantic_generation;
+  return CurrentSnapshot()->default_view.tag.semantic_generation;
 }
 
 Status ChimeraPipeline::ScaleDownType(const std::string& type,
@@ -546,21 +513,6 @@ Status ChimeraPipeline::ApplyReplicated(
   return Status::OK();
 }
 
-namespace {
-
-/// Runs fn(begin, end) over [0, n), chunked on the pool when available.
-void RunChunked(ThreadPool* pool, size_t n,
-                const std::function<void(size_t, size_t)>& fn) {
-  if (n == 0) return;
-  if (pool == nullptr || n == 1) {
-    fn(0, n);
-    return;
-  }
-  pool->ParallelFor(n, fn);
-}
-
-}  // namespace
-
 BatchReport ChimeraPipeline::RunBatch(
     std::span<const data::ProductItem> items,
     const rules::TenantId& tenant) const {
@@ -572,23 +524,12 @@ BatchReport ChimeraPipeline::RunBatch(
   auto memo = gate_.snapshot();
   ThreadPool* pool = pool_.get();
   // Resolve the tenant's serving view once for the whole batch (see
-  // Classify). The default tenant resolves to the snapshot's own fields
-  // and the default cache partition — the historical path exactly.
-  const PipelineSnapshot::TenantView* view = nullptr;
-  if (!tenant.is_default()) {
-    auto it = snap->tenant_views.find(tenant.value());
-    if (it != snap->tenant_views.end()) view = &it->second;
-  }
-  const auto& suppressed = view != nullptr ? view->suppressed : snap->suppressed;
-  const VotingMaster& voting = view != nullptr ? *view->voting : *snap->voting;
-  const ShardedFilter& filter = view != nullptr ? *view->filter : *snap->filter;
-  const engine::ShardedRuleClassifier* rule_classifier =
-      view != nullptr ? view->rule_classifier.get()
-                      : snap->rule_classifier.get();
+  // Classify); a tenant without one serves the default view.
+  const PipelineSnapshot::TenantView& view = snap->ViewFor(tenant.value());
+  const engine::ShardedRuleClassifier& rule_classifier =
+      *view.rule_classifier;
   engine::HotResultCache* cache =
       caches_ == nullptr ? nullptr : &caches_->For(tenant.value());
-  const engine::VersionTag tag =
-      view != nullptr ? view->tag : snap->result_tag();
 
   BatchReport report;
   report.total = items.size();
@@ -607,7 +548,7 @@ BatchReport ChimeraPipeline::RunBatch(
   std::vector<uint8_t> gate_outcome(items.size(), kPass);
   std::vector<std::string> lowered(items.size());
   std::atomic<size_t> cache_hits{0}, cache_misses{0}, cache_stale{0};
-  RunChunked(pool, items.size(), [&](size_t begin, size_t end) {
+  ParallelFor(pool, items.size(), [&](size_t begin, size_t end) {
     size_t hits = 0, misses = 0, stale = 0;
     for (size_t i = begin; i < end; ++i) {
       std::string low = ToLowerAscii(items[i].title);
@@ -617,7 +558,7 @@ BatchReport ChimeraPipeline::RunBatch(
         continue;
       }
       if (d.kind == GateDecision::Kind::kClassified) {
-        if (suppressed.count(d.type)) {
+        if (view.suppressed.count(d.type)) {
           gate_outcome[i] = kGateSuppressed;
         } else {
           gate_outcome[i] = kGateClassified;
@@ -626,7 +567,7 @@ BatchReport ChimeraPipeline::RunBatch(
         continue;
       }
       if (cache != nullptr) {
-        engine::CacheLookup cached = cache->Lookup(low, tag);
+        engine::CacheLookup cached = cache->Lookup(low, view.tag);
         if (cached.hit) {
           gate_outcome[i] = kCacheHit;
           report.predictions[i] = std::move(cached.type);
@@ -667,7 +608,7 @@ BatchReport ChimeraPipeline::RunBatch(
   if (pass_ptrs.empty()) return report;
 
   // ---- Stage 2: regex rule matches, once per batch per shard -------------
-  engine::ShardedExecution exec = rule_classifier->MatchBatch(pass_ptrs, pool);
+  engine::ShardedExecution exec = rule_classifier.MatchBatch(pass_ptrs, pool);
   report.rules_executed = exec.total_evaluations();
   report.rule_items = pass_ptrs.size();
 
@@ -676,79 +617,65 @@ BatchReport ChimeraPipeline::RunBatch(
   const ml::Classifier* precomputed = nullptr;
   if (config_.use_rules) {
     rule_scored.resize(pass_ptrs.size());
-    RunChunked(pool, pass_ptrs.size(), [&](size_t begin, size_t end) {
+    ParallelFor(pool, pass_ptrs.size(), [&](size_t begin, size_t end) {
       for (size_t j = begin; j < end; ++j) {
-        rule_scored[j] = rule_classifier->ScoreMatches(exec, j);
+        rule_scored[j] = rule_classifier.ScoreMatches(exec, j);
       }
     });
-    precomputed = rule_classifier;
+    precomputed = &rule_classifier;
   }
-  auto votes = voting.VoteBatch(pass_ptrs, pool, precomputed, &rule_scored);
+  auto votes =
+      view.voting->VoteBatch(pass_ptrs, pool, precomputed, &rule_scored);
 
   // ---- Stage 4: suppression + filter + accounting ------------------------
-  // Per-chunk partial reports, merged in chunk order: counters are sums,
-  // predictions are written by disjoint index, so the merged result is
-  // identical to the sequential path (and the counter merge never
-  // divides — ratios are computed once, by BatchReport, with the
-  // total==0 guard).
-  struct Partial {
-    size_t declined = 0, suppressed = 0, filtered = 0, classified = 0;
-    size_t promotions = 0, evictions = 0;
-  };
-  const size_t n_pass = pass_ptrs.size();
-  const size_t chunks =
-      pool == nullptr ? 1 : std::min(n_pass, pool->num_threads() * 4);
-  const size_t chunk_size = (n_pass + chunks - 1) / chunks;
-  std::vector<Partial> partials(chunks);
-  auto finalize = [&](Partial& p, size_t begin, size_t end) {
+  // Counters are per-chunk sums and predictions are written by disjoint
+  // index, so the result is identical to the sequential path (and the
+  // counter merge never divides — ratios are computed once, by
+  // BatchReport, with the total==0 guard).
+  std::atomic<size_t> declined{0}, suppressed{0}, filtered{0}, classified{0};
+  std::atomic<size_t> promotions{0}, evictions{0};
+  ParallelFor(pool, pass_ptrs.size(), [&](size_t begin, size_t end) {
+    size_t n_declined = 0, n_suppressed = 0, n_filtered = 0, n_classified = 0;
+    size_t n_promotions = 0, n_evictions = 0;
     for (size_t j = begin; j < end; ++j) {
       if (!votes[j].has_value()) {
-        ++p.declined;
+        ++n_declined;
         continue;
       }
       const std::string& label = votes[j]->label;
-      if (suppressed.count(label)) {
-        ++p.suppressed;
+      if (view.suppressed.count(label)) {
+        ++n_suppressed;
         continue;
       }
-      if (!filter.AdmitWithMatches(*pass_ptrs[j], label, exec, j)) {
-        ++p.filtered;
+      if (!view.filter->AdmitWithMatches(*pass_ptrs[j], label, exec, j)) {
+        ++n_filtered;
         continue;
       }
-      ++p.classified;
+      ++n_classified;
       report.predictions[pass_idx[j]] = label;
       // Offer the confident winner to the cache. Every stage-1 lookup
       // already completed (stage barriers), so records never change what
       // this batch serves — only future batches.
       if (cache != nullptr) {
-        engine::CacheRecord rec = cache->Record(pass_lowered[j], label, tag);
-        p.promotions += rec.admitted;
-        p.evictions += rec.evicted;
+        engine::CacheRecord rec =
+            cache->Record(pass_lowered[j], label, view.tag);
+        n_promotions += rec.admitted;
+        n_evictions += rec.evicted;
       }
     }
-  };
-  if (pool == nullptr) {
-    finalize(partials[0], 0, n_pass);
-  } else {
-    TaskGroup group;
-    for (size_t c = 0; c < chunks; ++c) {
-      const size_t begin = c * chunk_size;
-      const size_t end = std::min(n_pass, begin + chunk_size);
-      pool->Submit(&group,
-                   [&finalize, &partials, c, begin, end] {
-                     finalize(partials[c], begin, end);
-                   });
-    }
-    group.Wait();
-  }
-  for (const Partial& p : partials) {
-    report.declined += p.declined;
-    report.suppressed += p.suppressed;
-    report.filtered += p.filtered;
-    report.classified += p.classified;
-    report.cache_promotions += p.promotions;
-    report.cache_evictions += p.evictions;
-  }
+    declined.fetch_add(n_declined, std::memory_order_relaxed);
+    suppressed.fetch_add(n_suppressed, std::memory_order_relaxed);
+    filtered.fetch_add(n_filtered, std::memory_order_relaxed);
+    classified.fetch_add(n_classified, std::memory_order_relaxed);
+    promotions.fetch_add(n_promotions, std::memory_order_relaxed);
+    evictions.fetch_add(n_evictions, std::memory_order_relaxed);
+  });
+  report.declined += declined.load();
+  report.suppressed += suppressed.load();
+  report.filtered += filtered.load();
+  report.classified += classified.load();
+  report.cache_promotions += promotions.load();
+  report.cache_evictions += evictions.load();
   return report;
 }
 

@@ -103,7 +103,7 @@ struct PipelineConfig {
 };
 
 /// One shard's serving state, bound to one immutable shard snapshot: the
-/// shard's rules plus the classifiers/filter built against them (index
+/// classifiers/filter built against the shard's rules (index
 /// construction included). Rebuilt only when its shard's version moves;
 /// the other shards' servings are reused pointer-for-pointer across
 /// publishes.
@@ -115,91 +115,65 @@ struct ShardServing {
   /// `rule_version`, so one tenant's edits never invalidate another's
   /// cached results.
   std::map<std::string, uint64_t> tenant_versions;
-  /// The full pinned shard rule set, all tenants mixed (audit/diagnostic
-  /// view; serving goes through the partitions below).
-  std::shared_ptr<const rules::RuleSet> rules;
-  /// Default-tenant build: classifiers/filter over the shard's shared
-  /// ("" tenant) rules only. When the shard hosts no foreign-tenant
-  /// rules these are built over `rules` itself — no extra copy, and
-  /// byte-identical single-tenant serving.
-  std::shared_ptr<const engine::RuleBasedClassifier> rule_classifier;
-  std::shared_ptr<const engine::AttrValueClassifier> attr_classifier;
-  std::shared_ptr<const Filter> filter;
-  /// One partition per non-default tenant owning rules in this shard.
-  /// A tenant's serving view stacks its partitions after every shard's
-  /// default build (shared rules serve everyone; a tenant's own rules
-  /// serve only it).
+  /// Classifiers/filter over one owner's rules in this shard. Each owns
+  /// its pinned `shared_ptr<const RuleSet>`.
   struct TenantPartition {
-    std::shared_ptr<const rules::RuleSet> rules;
     std::shared_ptr<const engine::RuleBasedClassifier> rule_classifier;
     std::shared_ptr<const engine::AttrValueClassifier> attr_classifier;
     std::shared_ptr<const Filter> filter;
   };
+  /// Build over the shard's shared ("" tenant) rules. When the shard
+  /// hosts no foreign-tenant rules it is built over the pinned shard set
+  /// itself — no extra copy, and byte-identical single-tenant serving.
+  TenantPartition shared;
+  /// One partition per non-default tenant owning rules in this shard.
+  /// A tenant's serving view stacks its partitions after every shard's
+  /// shared build (shared rules serve everyone; a tenant's own rules
+  /// serve only it).
   std::map<std::string, TenantPartition> tenants;
 };
 
-/// Everything one classification needs, pinned coherently: a vector of
-/// per-shard servings (each at its own shard version), the sharded
-/// classifier/filter wrappers that merge them, the learning ensemble,
-/// voting master, and the suppressed-type set. Writers compose a fresh
-/// snapshot (reusing unchanged shards' servings) and swap the pipeline's
-/// pointer atomically; readers acquire the pointer once per batch (or per
-/// item) and keep the whole bundle alive via shared_ptr for as long as
-/// they need it. Rule updates therefore never block or corrupt in-flight
-/// classification — a batch finishes on the version it started with.
+/// Everything one classification needs, pinned coherently: one serving
+/// view per tenant, each merging per-shard builds (each at its own shard
+/// version) with the learning ensemble, voting master, and the
+/// suppressed-type set. Writers compose a fresh snapshot (reusing
+/// unchanged shards' servings) and swap the pipeline's pointer
+/// atomically; readers acquire the pointer once per batch and keep the
+/// whole bundle alive via shared_ptr for as long as they need it. Rule
+/// updates therefore never block or corrupt in-flight classification — a
+/// batch finishes on the version it started with.
 struct PipelineSnapshot {
-  std::vector<std::shared_ptr<const ShardServing>> shards;
-  std::shared_ptr<engine::ShardedRuleClassifier> rule_classifier;
-  std::shared_ptr<engine::ShardedAttrValueClassifier> attr_classifier;
-  std::shared_ptr<ml::EnsembleClassifier> ensemble;  // null until trained
-  std::shared_ptr<const VotingMaster> voting;
-  std::shared_ptr<const ShardedFilter> filter;
-  std::unordered_set<std::string> suppressed;
-  /// Publish sequence number (bumps on every snapshot swap).
-  uint64_t version = 0;
-  /// Sum of the pinned shard rule versions (the repository's composite
-  /// version this snapshot serves).
-  uint64_t composite_rule_version = 0;
-  /// Order-sensitive hash of every shard's pinned rule version. Unlike
-  /// the sum above, two different shard-version vectors cannot (in
-  /// practice) fingerprint alike — concurrent writers to disjoint shards
-  /// can publish {A=2,B=1} and {A=1,B=2}, which sum identically but must
-  /// not validate each other's cache entries.
-  uint64_t rule_state_fingerprint = 0;
-  /// Generation of the non-rule serving inputs: bumps on every ensemble
-  /// install (RetrainLearning) and every suppressed-type edit
-  /// (ScaleDownType / ScaleUpType), which change classification without
-  /// necessarily committing a rule mutation.
-  uint64_t semantic_generation = 0;
-
-  /// The tag hot-result-cache entries computed against this snapshot are
-  /// stored (and validated) under: any rule commit, retrain, or
-  /// suppression edit changes it, so stale entries drop on read.
-  engine::VersionTag result_tag() const {
-    return {rule_state_fingerprint, semantic_generation};
-  }
-
-  /// One non-default tenant's composed serving view: every shard's
-  /// default build (shared rules) plus the tenant's own partitions,
-  /// positionally aligned across classifier/filter so the batch
-  /// executors line up, with the tenant's ensemble (falling back to the
-  /// shared one), merged suppression set, and a tenant-scoped version
-  /// tag hashed from per-shard ("" , tenant) version-counter pairs — so
-  /// a foreign tenant's commits never stale-drop this tenant's cache
-  /// entries, while shared-rule commits invalidate everyone's.
+  /// One tenant's composed serving view: every shard's shared build plus
+  /// (for a non-default tenant) its own partitions, positionally aligned
+  /// across classifier/filter so the batch executors line up. The voting
+  /// master owns the attribute/value member and the ensemble (the
+  /// tenant's own, falling back to the shared one).
   struct TenantView {
     std::shared_ptr<engine::ShardedRuleClassifier> rule_classifier;
-    std::shared_ptr<engine::ShardedAttrValueClassifier> attr_classifier;
     std::shared_ptr<const ShardedFilter> filter;
     std::shared_ptr<const VotingMaster> voting;
-    std::shared_ptr<ml::EnsembleClassifier> ensemble;  // may equal shared
     std::unordered_set<std::string> suppressed;  // platform-wide ∪ own
+    /// The tag hot-result-cache entries computed against this view are
+    /// stored (and validated) under; see ComposeViewLocked for its
+    /// halves. Any rule commit, retrain, or suppression edit visible to
+    /// the view changes it, so stale entries drop on read.
     engine::VersionTag tag;
   };
+  /// The default tenant's view (shared rules, shared ensemble,
+  /// platform-wide suppressions).
+  TenantView default_view;
   /// Views for every tenant with rules, training state, or suppressions.
-  /// A tenant absent here serves the default view (plus its own cache
+  /// A tenant absent here serves `default_view` (plus its own cache
   /// partition) — correct, since it has no tenant-specific state yet.
   std::map<std::string, TenantView> tenant_views;
+  /// Publish sequence number (bumps on every snapshot swap).
+  uint64_t version = 0;
+
+  /// `tenant`'s view, or the default view for a tenant without one.
+  const TenantView& ViewFor(const std::string& tenant) const {
+    auto it = tenant_views.find(tenant);
+    return it == tenant_views.end() ? default_view : it->second;
+  }
 };
 
 /// The Chimera system (Figure 2): Gate Keeper -> {rule-based,
@@ -439,6 +413,11 @@ class ChimeraPipeline {
   /// historical always-republish semantics rely on it).
   void RepublishShards(const std::vector<rules::ShardKey>& dirty);
 
+  /// Builds the classifiers/filter (index included) over one owner's
+  /// rules in one shard.
+  ShardServing::TenantPartition BuildPartition(
+      std::shared_ptr<const rules::RuleSet> rules) const;
+
   /// RepublishShards over every shard.
   void RepublishAll();
 
@@ -452,6 +431,11 @@ class ChimeraPipeline {
   /// Composes a snapshot from shard_cache_ + writer state and swaps it
   /// in. Caller holds state_mu_.
   void ComposeAndSwapLocked();
+
+  /// Composes one tenant's serving view ("" = the default view) from
+  /// shard_cache_ + writer state. Caller holds state_mu_.
+  PipelineSnapshot::TenantView ComposeViewLocked(
+      const std::string& tenant) const;
 
   std::shared_ptr<const PipelineSnapshot> CurrentSnapshot() const;
 
@@ -496,7 +480,7 @@ class ChimeraPipeline {
   std::shared_ptr<ml::EnsembleClassifier> ensemble_;  // null until trained
   uint64_t version_ = 0;
   /// Bumped (under state_mu_) on every suppression edit and ensemble
-  /// install; composed into the snapshot's semantic_generation.
+  /// install; composed into every view's tag.
   uint64_t semantic_gen_ = 0;
 
   /// The published snapshot; guarded by snapshot_mu_ (pointer swap only).

@@ -68,14 +68,10 @@ struct BatchReport {
 };
 
 /// Per-request knobs, honored identically by the in-process entry point
-/// and the serving front-end (which carries them on the wire).
+/// and the serving front-end (which carries them on the wire). Whether a
+/// request may be coalesced is a serving-only choice: it rides on the wire
+/// as `no_coalesce`, since an in-process caller already chose its batch.
 struct ClassifyOptions {
-  /// A single-item request the server may merge with concurrent
-  /// single-item requests into one pipeline batch (the coalescing path;
-  /// see DESIGN.md "Serving front-end"). False forces a dedicated
-  /// dispatch. Meaningless in-process — the caller already chose its
-  /// batch.
-  bool allow_coalesce = true;
   /// When true the request fails kUnavailable unless the pipeline's
   /// durable journal is live: a pipeline that was asked for storage but
   /// is serving in-memory (open failure, or a severed WAL after an I/O

@@ -100,11 +100,7 @@ std::vector<std::optional<ml::ScoredLabel>> VotingMaster::VoteBatch(
       votes[i] = DecideFromCombined(CombineLists(ptrs));
     }
   };
-  if (pool != nullptr && items.size() > 1) {
-    pool->ParallelFor(items.size(), combine);
-  } else {
-    combine(0, items.size());
-  }
+  ParallelFor(pool, items.size(), combine);
   return votes;
 }
 

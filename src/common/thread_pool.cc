@@ -71,6 +71,16 @@ void ThreadPool::ParallelFor(size_t n,
   group.Wait();
 }
 
+void ParallelFor(ThreadPool* pool, size_t n,
+                 const std::function<void(size_t, size_t)>& fn) {
+  if (n == 0) return;
+  if (pool == nullptr || n == 1) {
+    fn(0, n);
+    return;
+  }
+  pool->ParallelFor(n, fn);
+}
+
 void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;

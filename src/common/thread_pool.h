@@ -78,6 +78,12 @@ class ThreadPool {
   std::vector<std::thread> threads_;
 };
 
+/// Runs `fn(begin, end)` over [0, n): chunked on `pool` (see
+/// ThreadPool::ParallelFor), or inline in one call when `pool` is null or
+/// n == 1 — a lone item never pays a pool handoff. n == 0 runs nothing.
+void ParallelFor(ThreadPool* pool, size_t n,
+                 const std::function<void(size_t, size_t)>& fn);
+
 }  // namespace rulekit
 
 #endif  // RULEKIT_COMMON_THREAD_POOL_H_

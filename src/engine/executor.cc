@@ -30,7 +30,6 @@ RuleExecutor::RuleExecutor(const rules::RuleSet& set,
 ExecutionResult RuleExecutor::Execute(
     const std::vector<const data::ProductItem*>& items,
     ThreadPool* pool) const {
-  if (pool == nullptr) pool = options_.pool;
   ExecutionResult result;
   result.matches_per_item.resize(items.size());
   std::atomic<size_t> evals{0};
@@ -64,11 +63,7 @@ ExecutionResult RuleExecutor::Execute(
     matches.fetch_add(local_matches, std::memory_order_relaxed);
   };
 
-  if (pool != nullptr) {
-    pool->ParallelFor(items.size(), run_range);
-  } else {
-    run_range(0, items.size());
-  }
+  ParallelFor(pool, items.size(), run_range);
 
   result.stats.items = items.size();
   result.stats.rule_evaluations = evals.load();
@@ -78,11 +73,11 @@ ExecutionResult RuleExecutor::Execute(
 }
 
 ExecutionResult RuleExecutor::Execute(
-    const std::vector<data::ProductItem>& items) const {
+    const std::vector<data::ProductItem>& items, ThreadPool* pool) const {
   std::vector<const data::ProductItem*> ptrs;
   ptrs.reserve(items.size());
   for (const auto& item : items) ptrs.push_back(&item);
-  return Execute(ptrs, options_.pool);
+  return Execute(ptrs, pool);
 }
 
 }  // namespace rulekit::engine

@@ -17,11 +17,6 @@ struct ExecutorOptions {
   /// Prune candidate rules through the literal prefilter index; false =
   /// evaluate every active regex rule on every item (the baseline).
   bool use_index = true;
-  /// Optional worker pool for parallel execution over items (the paper's
-  /// "execute the rules in parallel on a cluster of machines", scaled to
-  /// one machine). Null = single-threaded. A per-call pool passed to
-  /// Execute() takes precedence.
-  ThreadPool* pool = nullptr;
   /// Optional title sample for the corpus-aware index build (see
   /// RuleIndex::Build's three-arg overload): rules are re-bucketed onto
   /// their rarest required-literal set. Null/empty = structural build.
@@ -57,12 +52,15 @@ class RuleExecutor {
  public:
   RuleExecutor(const rules::RuleSet& set, ExecutorOptions options = {});
 
-  /// Runs all active regex rules over the items.
-  ExecutionResult Execute(const std::vector<data::ProductItem>& items) const;
+  /// Runs all active regex rules over the items, in parallel over `pool`
+  /// when given (the paper's "execute the rules in parallel on a cluster
+  /// of machines", scaled to one machine). Null = single-threaded.
+  ExecutionResult Execute(const std::vector<data::ProductItem>& items,
+                          ThreadPool* pool = nullptr) const;
 
   /// Zero-copy batch path: the serving pipeline classifies a subset of a
   /// batch (items the gate keeper passed through) without materializing a
-  /// compacted item vector. `pool` overrides options.pool for this call.
+  /// compacted item vector.
   ExecutionResult Execute(const std::vector<const data::ProductItem*>& items,
                           ThreadPool* pool) const;
 

@@ -37,7 +37,6 @@ RuleBasedClassifier::RuleBasedClassifier(
 void RuleBasedClassifier::Rebuild() {
   executor_ = std::make_unique<RuleExecutor>(
       *rules_, ExecutorOptions{.use_index = options_.use_index,
-                               .pool = nullptr,
                                .index_sample = options_.index_sample});
 }
 
@@ -97,11 +96,7 @@ std::vector<std::vector<ml::ScoredLabel>> RuleBasedClassifier::PredictBatch(
       out[i] = ScoreMatches(exec.matches_per_item[i]);
     }
   };
-  if (pool != nullptr && items.size() > 1) {
-    pool->ParallelFor(items.size(), score);
-  } else {
-    score(0, items.size());
-  }
+  ParallelFor(pool, items.size(), score);
   return out;
 }
 

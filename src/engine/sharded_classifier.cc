@@ -45,11 +45,7 @@ std::vector<std::vector<ml::ScoredLabel>> ShardedRuleClassifier::PredictBatch(
       out[i] = ScoreMatches(exec, i);
     }
   };
-  if (pool != nullptr && items.size() > 1) {
-    pool->ParallelFor(items.size(), score);
-  } else {
-    score(0, items.size());
-  }
+  ParallelFor(pool, items.size(), score);
   return out;
 }
 

@@ -43,11 +43,7 @@ class Classifier {
     auto run = [&](size_t begin, size_t end) {
       for (size_t i = begin; i < end; ++i) out[i] = Predict(*items[i]);
     };
-    if (pool != nullptr && items.size() > 1) {
-      pool->ParallelFor(items.size(), run);
-    } else {
-      run(0, items.size());
-    }
+    ParallelFor(pool, items.size(), run);
     return out;
   }
 

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -145,6 +146,10 @@ void RuleServer::AcceptLoop() {
       ::close(fd);
       return;
     }
+    // Replies are small frames written once per request: without
+    // TCP_NODELAY each would wait on Nagle for the client's delayed ACK.
+    int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     connections_accepted_.fetch_add(1, std::memory_order_relaxed);
     auto conn = std::make_shared<Connection>(fd);
     uint64_t id;
@@ -298,7 +303,9 @@ void RuleServer::DispatchLoop() {
         const auto window_end =
             Clock::now() + (drain_and_exit_ ? std::chrono::microseconds(0)
                                             : config_.coalesce_window);
-        for (;;) {
+        // Sweep after every wake, the timeout included: arrivals that
+        // squeaked in between the last sweep and the timeout still merge.
+        for (bool timed_out = false;;) {
           for (auto it = queue_.begin();
                it != queue_.end() &&
                batch.size() < config_.max_coalesce_batch;) {
@@ -309,24 +316,12 @@ void RuleServer::DispatchLoop() {
               ++it;
             }
           }
-          if (batch.size() >= config_.max_coalesce_batch) break;
-          if (drain_and_exit_) break;
-          if (queue_cv_.wait_until(lock, window_end) ==
-              std::cv_status::timeout) {
-            // One final sweep below the timeout: arrivals that squeaked
-            // in between the last scan and the timeout still merge.
-            for (auto it = queue_.begin();
-                 it != queue_.end() &&
-                 batch.size() < config_.max_coalesce_batch;) {
-              if (Coalescable(*it) && it->request.tenant == tenant) {
-                batch.push_back(std::move(*it));
-                it = queue_.erase(it);
-              } else {
-                ++it;
-              }
-            }
+          if (timed_out || drain_and_exit_ ||
+              batch.size() >= config_.max_coalesce_batch) {
             break;
           }
+          timed_out = queue_cv_.wait_until(lock, window_end) ==
+                      std::cv_status::timeout;
         }
       }
     }
@@ -342,6 +337,7 @@ void RuleServer::DispatchBatch(std::vector<Pending> batch) {
   std::vector<Pending> live;
   live.reserve(batch.size());
   for (auto& pending : batch) {
+    queue_wait_us_.Record(ElapsedUs(pending.admitted, dispatch_start));
     if (pending.deadline.has_value() && *pending.deadline <= dispatch_start) {
       deadline_sheds_.fetch_add(1, std::memory_order_relaxed);
       RespondAdmitted(pending,
@@ -547,7 +543,6 @@ void RuleServer::HandleEdit(Connection& conn, WireRuleEditRequest request) {
 
 void RuleServer::RespondAdmitted(const Pending& pending,
                                  const WireClassifyResponse& response) {
-  queue_wait_us_.Record(ElapsedUs(pending.admitted, Clock::now()));
   Respond(*pending.conn, response);
   latency_us_.Record(ElapsedUs(pending.admitted, Clock::now()));
 }

@@ -32,8 +32,9 @@ struct ServerConfig {
   /// connection N+1 waits until an earlier one closes.
   size_t io_threads = 4;
   /// How long the dispatcher holds an eligible single-item request open
-  /// for more coalescable arrivals (same tenant, allow_coalesce, no
-  /// durability demand) before dispatching the merged batch.
+  /// for more coalescable arrivals (same tenant, single item, no
+  /// `no_coalesce` flag, no durability demand) before dispatching the
+  /// merged batch.
   std::chrono::microseconds coalesce_window{500};
   /// Hard cap on requests merged into one dispatched batch.
   size_t max_coalesce_batch = 64;

@@ -1,5 +1,6 @@
 #include "src/serving/wire.h"
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -266,11 +267,13 @@ WireClassifyResponse ResponseFrom(uint64_t request_id,
 
 namespace {
 
-/// write(2) until all of `data` is on the wire (or a real error).
+/// send(2) until all of `data` is on the wire (or a real error).
+/// MSG_NOSIGNAL: a peer that already closed yields EPIPE here instead of
+/// a SIGPIPE that would kill the whole process.
 Status WriteAll(int fd, const char* data, size_t size) {
   size_t sent = 0;
   while (sent < size) {
-    ssize_t n = ::write(fd, data + sent, size - sent);
+    ssize_t n = ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return Status::IOError(

@@ -206,7 +206,7 @@ inline constexpr uint32_t kMaxFramePayload = 16u << 20;  // 16 MiB
 /// Blocking framed-transport helpers over a connected socket fd. Both
 /// retry EINTR; short reads mean the peer closed (kNotFound signals a
 /// clean EOF on a frame boundary, kIOError a torn frame or socket
-/// error).
+/// error). Writing to a closed peer is a kIOError, never a SIGPIPE.
 Status WriteFrame(int fd, FrameType type, std::string_view payload);
 struct Frame {
   FrameType type;

@@ -3,6 +3,9 @@
 #include <atomic>
 #include <numeric>
 #include <set>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "src/common/random.h"
 #include "src/common/result.h"
@@ -263,6 +266,33 @@ TEST(ThreadPoolTest, ParallelForEmptyRange) {
   bool called = false;
   pool.ParallelFor(0, [&](size_t, size_t) { called = true; });
   EXPECT_FALSE(called);
+}
+
+TEST(ThreadPoolTest, FreeParallelForRunsSmallOrPoollessWorkInline) {
+  // A null pool or a single item runs as one inline call on the caller's
+  // thread; nothing runs for an empty range.
+  ThreadPool pool(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    std::vector<std::pair<size_t, size_t>> calls;
+    ParallelFor(p, 1, [&](size_t begin, size_t end) {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      calls.emplace_back(begin, end);
+    });
+    EXPECT_EQ(calls, (std::vector<std::pair<size_t, size_t>>{{0, 1}}));
+    ParallelFor(p, 0, [&](size_t, size_t) { ADD_FAILURE(); });
+  }
+  std::vector<std::pair<size_t, size_t>> inline_calls;
+  ParallelFor(nullptr, 50, [&](size_t begin, size_t end) {
+    inline_calls.emplace_back(begin, end);
+  });
+  EXPECT_EQ(inline_calls, (std::vector<std::pair<size_t, size_t>>{{0, 50}}));
+  // With a pool and several items it chunks like the member.
+  std::vector<std::atomic<int>> hits(100);
+  ParallelFor(&pool, hits.size(), [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPoolTest, WaitIsReusable) {

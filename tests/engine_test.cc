@@ -317,11 +317,10 @@ blacklist b1: toe rings? => rings
   RuleExecutor scan(*set, {.use_index = false});
   RuleExecutor indexed(*set, {.use_index = true});
   ThreadPool pool(4);
-  RuleExecutor parallel_exec(*set, {.use_index = true, .pool = &pool});
 
   auto r1 = scan.Execute(items);
   auto r2 = indexed.Execute(items);
-  auto r3 = parallel_exec.Execute(items);
+  auto r3 = indexed.Execute(items, &pool);
 
   EXPECT_EQ(r1.matches_per_item, r2.matches_per_item);
   EXPECT_EQ(r1.matches_per_item, r3.matches_per_item);

@@ -5,6 +5,8 @@
 // items — is asserted directly (CoalescedResponsesMatchDirectClassify).
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -103,6 +105,17 @@ TEST(WireFormatTest, RejectsUnknownFlagsAndTrailingBytes) {
   bad.PutU8(0x80);  // unknown flag
   bad.PutVarint(0);
   EXPECT_FALSE(DecodeRequestPayload(bad.data()).ok());
+}
+
+TEST(WireFormatTest, WriteToClosedPeerFailsWithoutSigpipe) {
+  // A peer that hung up must surface as an error status: the default
+  // SIGPIPE disposition would end the whole process instead.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  ::close(fds[1]);
+  Status st = WriteFrame(fds[0], FrameType::kClassifyResponse, "payload");
+  EXPECT_FALSE(st.ok());
+  ::close(fds[0]);
 }
 
 TEST(WireFormatTest, RejectsCorruptCounts) {
@@ -368,6 +381,37 @@ TEST(RuleServerTest, NoCoalesceFlagDispatchesAlone) {
   ServerStats stats = server.stats();
   EXPECT_EQ(stats.batches_dispatched, 4u);
   EXPECT_EQ(stats.coalesced_requests, 0u);
+  server.Stop();
+}
+
+TEST(RuleServerTest, QueueWaitEndsAtDispatchNotAtResponse) {
+  // A lone request whose classification takes measurable time: its queue
+  // wait (admission -> dispatch) must not include that work, while its
+  // latency (admission -> response written) does.
+  auto& pipeline = SharedPipeline();
+  RuleServer server(pipeline, ServerConfig{});
+  ASSERT_TRUE(server.Start().ok());
+  auto client = RuleClient::Connect(server.port());
+  ASSERT_TRUE(client.ok());
+  const char* kTitles[] = {"gold ring", "motor oil 5w30", "paperback novel",
+                           "toe ring", "qzx unknowable widget"};
+  for (int r = 0; r < 3; ++r) {
+    WireClassifyRequest request;
+    request.request_id = r + 1;
+    request.no_coalesce = true;
+    for (int i = 0; i < 4000; ++i) {
+      request.items.push_back(MakeItem(std::string(kTitles[i % 5]) + " " +
+                                       std::to_string(i)));
+    }
+    auto response = client->Call(request);
+    ASSERT_TRUE(response.ok());
+    EXPECT_EQ(response->code, WireCode::kOk);
+  }
+  ServerStats stats = server.stats();
+  EXPECT_EQ(stats.queue_wait_us.count(), 3u);
+  EXPECT_LT(stats.queue_wait_us.P50() * 4, stats.latency_us.P50())
+      << "queue wait " << stats.queue_wait_us.P50() << " us, latency "
+      << stats.latency_us.P50() << " us";
   server.Stop();
 }
 
