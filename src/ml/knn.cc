@@ -1,68 +1,80 @@
 #include "src/ml/knn.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 namespace rulekit::ml {
 
 KnnClassifier::KnnClassifier(std::shared_ptr<FeatureExtractor> extractor,
                              size_t k)
-    : extractor_(std::move(extractor)), k_(std::max<size_t>(1, k)) {}
+    : FeatureClassifier(std::move(extractor)), k_(std::max<size_t>(1, k)) {}
 
 void KnnClassifier::Train(const std::vector<data::LabeledItem>& data) {
+  labels_ = LabelSpace();
+  tfidf_ = text::TfIdfModel();
+  doc_labels_.clear();
   std::vector<std::vector<text::TokenId>> id_lists;
   id_lists.reserve(data.size());
   for (const auto& li : data) {
     id_lists.push_back(extractor_->InternFeatureIds(li.item));
     tfidf_.AddDocument(id_lists.back());
   }
-  docs_.reserve(data.size());
+  postings_.assign(extractor_->vocabulary().size(), {});
+  doc_labels_.reserve(data.size());
   for (size_t i = 0; i < data.size(); ++i) {
-    Doc doc;
-    doc.vector = tfidf_.VectorizeNormalized(id_lists[i]);
-    doc.label = labels_.Intern(data[i].label);
-    uint32_t doc_id = static_cast<uint32_t>(docs_.size());
-    for (const auto& [t, w] : doc.vector.entries()) {
-      postings_[t].push_back(doc_id);
-    }
-    docs_.push_back(std::move(doc));
+    const auto doc = static_cast<uint32_t>(i);
+    const text::SparseVector vector = tfidf_.VectorizeNormalized(id_lists[i]);
+    for (const auto& [t, w] : vector.entries()) postings_[t].push_back({doc, w});
+    doc_labels_.push_back(labels_.Intern(data[i].label));
   }
 }
 
-std::vector<ScoredLabel> KnnClassifier::Predict(
-    const data::ProductItem& item) const {
-  if (docs_.empty()) return {};
-  auto ids = extractor_->LookupFeatureIds(item);
-  if (ids.empty()) return {};
+std::vector<ScoredLabel> KnnClassifier::PredictIds(
+    const std::vector<text::TokenId>& ids) const {
+  if (doc_labels_.empty()) return {};
   text::SparseVector query = tfidf_.VectorizeNormalized(ids);
 
   // Accumulate dot products over postings (vectors are normalized, so the
-  // dot product is the cosine).
-  std::unordered_map<uint32_t, double> similarity;
+  // dot product is the cosine). Each doc's sum runs in ascending token
+  // order; `touched` lists every doc sharing a token with the query, even
+  // one whose sum is 0.
+  std::vector<double> similarity(doc_labels_.size(), 0.0);
+  std::vector<uint8_t> is_touched(doc_labels_.size(), 0);
+  std::vector<uint32_t> touched;
   for (const auto& [t, w] : query.entries()) {
-    auto it = postings_.find(t);
-    if (it == postings_.end()) continue;
-    for (uint32_t doc_id : it->second) {
-      similarity[doc_id] += w * docs_[doc_id].vector.WeightOf(t);
+    if (t >= postings_.size()) continue;
+    for (const Posting& p : postings_[t]) {
+      if (is_touched[p.doc] == 0) {
+        is_touched[p.doc] = 1;
+        touched.push_back(p.doc);
+      }
+      similarity[p.doc] += w * p.weight;
     }
   }
-  if (similarity.empty()) return {};
+  if (touched.empty()) return {};
 
-  // Top-k by similarity.
-  std::vector<std::pair<double, uint32_t>> scored;
-  scored.reserve(similarity.size());
-  for (const auto& [doc_id, sim] : similarity) {
-    scored.emplace_back(sim, doc_id);
+  // Top-k by (similarity, doc) descending, kept as a sorted window.
+  using Neighbor = std::pair<double, uint32_t>;
+  const auto descending = [](const Neighbor& a, const Neighbor& b) {
+    return a > b;
+  };
+  const size_t k = std::min(k_, touched.size());
+  std::vector<Neighbor> top;
+  top.reserve(k + 1);
+  for (uint32_t doc : touched) {
+    Neighbor candidate{similarity[doc], doc};
+    if (top.size() == k && !descending(candidate, top.back())) continue;
+    top.insert(std::upper_bound(top.begin(), top.end(), candidate, descending),
+               candidate);
+    if (top.size() > k) top.pop_back();
   }
-  size_t k = std::min(k_, scored.size());
-  std::partial_sort(scored.begin(), scored.begin() + k, scored.end(),
-                    [](const auto& a, const auto& b) { return a > b; });
 
   // Similarity-weighted vote among the neighbors.
   std::unordered_map<uint32_t, double> votes;
   double total = 0.0;
-  for (size_t i = 0; i < k; ++i) {
-    votes[docs_[scored[i].second].label] += scored[i].first;
-    total += scored[i].first;
+  for (const auto& [sim, doc] : top) {
+    votes[doc_labels_[doc]] += sim;
+    total += sim;
   }
   if (total <= 0.0) return {};
 

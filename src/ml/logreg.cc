@@ -2,14 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace rulekit::ml {
 
 LogRegClassifier::LogRegClassifier(
     std::shared_ptr<FeatureExtractor> extractor, LogRegOptions options)
-    : extractor_(std::move(extractor)), options_(options) {}
+    : FeatureClassifier(std::move(extractor)), options_(options) {}
 
 void LogRegClassifier::Train(const std::vector<data::LabeledItem>& data) {
+  labels_ = LabelSpace();
   // First pass: intern features and labels.
   std::vector<std::vector<text::TokenId>> xs;
   std::vector<uint32_t> ys;
@@ -22,6 +24,7 @@ void LogRegClassifier::Train(const std::vector<data::LabeledItem>& data) {
   num_features_ = extractor_->vocabulary().size();
   const size_t num_classes = labels_.size();
   const size_t stride = num_features_ + 1;  // +1 bias
+  // Class-major while training: num_classes rows of `stride` weights.
   weights_.assign(num_classes * stride, 0.0);
 
   Rng rng(options_.seed);
@@ -62,18 +65,27 @@ void LogRegClassifier::Train(const std::vector<data::LabeledItem>& data) {
       }
     }
   }
+
+  // Transpose in place to token-major, following the permutation's
+  // cycles: the weight of (class c, token t) moves to t * num_classes + c.
+  std::vector<bool> placed(weights_.size(), false);
+  for (size_t start = 0; start < weights_.size(); ++start) {
+    if (placed[start]) continue;
+    double carry = weights_[start];
+    size_t from = start;
+    do {
+      const size_t to = (from % stride) * num_classes + from / stride;
+      std::swap(carry, weights_[to]);
+      placed[to] = true;
+      from = to;
+    } while (from != start);
+  }
 }
 
-double LogRegClassifier::WeightAt(size_t cls, text::TokenId t) const {
-  return weights_[cls * (num_features_ + 1) + t];
-}
-
-std::vector<ScoredLabel> LogRegClassifier::Predict(
-    const data::ProductItem& item) const {
+std::vector<ScoredLabel> LogRegClassifier::PredictIds(
+    const std::vector<text::TokenId>& ids) const {
   const size_t num_classes = labels_.size();
   if (num_classes == 0) return {};
-  auto ids = extractor_->LookupFeatureIds(item);
-  if (ids.empty()) return {};
   // Features interned after training have no weights.
   std::vector<text::TokenId> usable;
   for (text::TokenId t : ids) {
@@ -81,13 +93,14 @@ std::vector<ScoredLabel> LogRegClassifier::Predict(
   }
   if (usable.empty()) return {};
   const double inv_len = 1.0 / static_cast<double>(usable.size());
-  const size_t stride = num_features_ + 1;
 
-  std::vector<double> logits(num_classes);
-  for (size_t c = 0; c < num_classes; ++c) {
-    double z = weights_[c * stride + num_features_];
-    for (text::TokenId t : usable) z += weights_[c * stride + t] * inv_len;
-    logits[c] = z;
+  // Each class's logit starts from its bias and adds one term per id, in
+  // id order.
+  const double* bias = &weights_[num_features_ * num_classes];
+  std::vector<double> logits(bias, bias + num_classes);
+  for (text::TokenId t : usable) {
+    const double* w = &weights_[t * num_classes];
+    for (size_t c = 0; c < num_classes; ++c) logits[c] += w[c] * inv_len;
   }
   double max_z = *std::max_element(logits.begin(), logits.end());
   double sum = 0.0;

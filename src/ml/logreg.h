@@ -22,25 +22,25 @@ struct LogRegOptions {
 /// token counts. Serves as the maximum-margin-style member of Chimera's
 /// ensemble (standing in for the paper's SVM; a linear decision boundary
 /// over the same features exercises the same pipeline role).
-class LogRegClassifier : public Classifier {
+class LogRegClassifier : public FeatureClassifier {
  public:
   LogRegClassifier(std::shared_ptr<FeatureExtractor> extractor,
                    LogRegOptions options = {});
 
+  /// Fits the weights by SGD, replacing the model.
   void Train(const std::vector<data::LabeledItem>& data);
 
-  std::vector<ScoredLabel> Predict(
-      const data::ProductItem& item) const override;
+  std::vector<ScoredLabel> PredictIds(
+      const std::vector<text::TokenId>& ids) const override;
   std::string name() const override { return "logreg"; }
 
  private:
-  double WeightAt(size_t cls, text::TokenId t) const;
-
-  std::shared_ptr<FeatureExtractor> extractor_;
   LogRegOptions options_;
   LabelSpace labels_;
   size_t num_features_ = 0;
-  std::vector<double> weights_;  // num_classes x (num_features + 1 bias)
+  // Token-major once trained: (num_features + 1 bias) rows of num_classes
+  // weights, the bias row last.
+  std::vector<double> weights_;
 };
 
 }  // namespace rulekit::ml

@@ -2,14 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <unordered_map>
 
 namespace rulekit::ml {
 
 NaiveBayesClassifier::NaiveBayesClassifier(
     std::shared_ptr<FeatureExtractor> extractor, double alpha)
-    : extractor_(std::move(extractor)), alpha_(alpha) {}
+    : FeatureClassifier(std::move(extractor)), alpha_(alpha) {}
 
 void NaiveBayesClassifier::Train(const std::vector<data::LabeledItem>& data) {
+  labels_ = LabelSpace();
   std::vector<std::unordered_map<text::TokenId, size_t>> counts;
   std::vector<size_t> class_totals;
   std::vector<size_t> class_docs;
@@ -31,9 +33,9 @@ void NaiveBayesClassifier::Train(const std::vector<data::LabeledItem>& data) {
   const double vocab_size =
       static_cast<double>(extractor_->vocabulary().size()) + 1.0;
   const double total_docs = static_cast<double>(data.size());
-  log_prior_.resize(counts.size());
-  log_likelihood_.resize(counts.size());
-  default_log_likelihood_.resize(counts.size());
+  log_prior_.assign(counts.size(), 0.0);
+  log_likelihood_.assign(extractor_->vocabulary().size(), {});
+  default_log_likelihood_.assign(counts.size(), 0.0);
   for (size_t c = 0; c < counts.size(); ++c) {
     log_prior_[c] =
         std::log(static_cast<double>(class_docs[c]) / total_docs);
@@ -41,27 +43,33 @@ void NaiveBayesClassifier::Train(const std::vector<data::LabeledItem>& data) {
         static_cast<double>(class_totals[c]) + alpha_ * vocab_size;
     default_log_likelihood_[c] = std::log(alpha_ / denom);
     for (const auto& [t, n] : counts[c]) {
-      log_likelihood_[c][t] =
-          std::log((static_cast<double>(n) + alpha_) / denom);
+      log_likelihood_[t].push_back(
+          {static_cast<uint32_t>(c),
+           std::log((static_cast<double>(n) + alpha_) / denom)});
     }
   }
 }
 
-std::vector<ScoredLabel> NaiveBayesClassifier::Predict(
-    const data::ProductItem& item) const {
+std::vector<ScoredLabel> NaiveBayesClassifier::PredictIds(
+    const std::vector<text::TokenId>& ids) const {
   if (log_prior_.empty()) return {};
-  auto ids = extractor_->LookupFeatureIds(item);
-  if (ids.empty()) return {};
 
-  std::vector<double> scores(log_prior_.size());
-  for (size_t c = 0; c < scores.size(); ++c) {
-    double s = log_prior_[c];
-    const auto& ll = log_likelihood_[c];
-    for (text::TokenId t : ids) {
-      auto it = ll.find(t);
-      s += it == ll.end() ? default_log_likelihood_[c] : it->second;
+  // Each class's joint log score adds one term per id, in id order.
+  std::vector<double> scores = log_prior_;
+  for (text::TokenId t : ids) {
+    const ClassLogP* seen = nullptr;
+    const ClassLogP* seen_end = nullptr;
+    if (t < log_likelihood_.size()) {
+      seen = log_likelihood_[t].data();
+      seen_end = seen + log_likelihood_[t].size();
     }
-    scores[c] = s;
+    for (size_t c = 0; c < scores.size(); ++c) {
+      if (seen != seen_end && seen->cls == c) {
+        scores[c] += (seen++)->log_p;
+      } else {
+        scores[c] += default_log_likelihood_[c];
+      }
+    }
   }
 
   // Softmax-normalize the joint log scores into [0, 1] confidences.

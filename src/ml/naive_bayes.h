@@ -2,7 +2,6 @@
 #define RULEKIT_ML_NAIVE_BAYES_H_
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/ml/classifier.h"
@@ -12,30 +11,35 @@ namespace rulekit::ml {
 
 /// Multinomial Naive Bayes over token features with Laplace smoothing —
 /// one of the stock learners in Chimera's ensemble (§3.1/§3.3).
-class NaiveBayesClassifier : public Classifier {
+class NaiveBayesClassifier : public FeatureClassifier {
  public:
   /// `extractor` is shared with the other ensemble members so all see the
   /// same vocabulary; it must outlive the classifier.
   explicit NaiveBayesClassifier(std::shared_ptr<FeatureExtractor> extractor,
                                 double alpha = 0.1);
 
-  /// Fits class priors and token likelihoods.
+  /// Fits class priors and token likelihoods, replacing the model.
   void Train(const std::vector<data::LabeledItem>& data);
 
-  std::vector<ScoredLabel> Predict(
-      const data::ProductItem& item) const override;
+  std::vector<ScoredLabel> PredictIds(
+      const std::vector<text::TokenId>& ids) const override;
   std::string name() const override { return "naive_bayes"; }
 
   size_t num_classes() const { return labels_.size(); }
 
  private:
-  std::shared_ptr<FeatureExtractor> extractor_;
+  struct ClassLogP {
+    uint32_t cls;
+    double log_p;
+  };
+
   double alpha_;
   LabelSpace labels_;
   std::vector<double> log_prior_;
-  // Per class: token -> log P(token | class); plus the default log-prob of
-  // an unseen token under that class.
-  std::vector<std::unordered_map<text::TokenId, double>> log_likelihood_;
+  // Per token id: log P(token | class) for each class the token occurred
+  // in, sorted by class. Any other class takes its default log-prob of an
+  // unseen token.
+  std::vector<std::vector<ClassLogP>> log_likelihood_;
   std::vector<double> default_log_likelihood_;
 };
 
