@@ -7,31 +7,15 @@ namespace rulekit::ml {
 
 void EnsembleClassifier::AddMember(std::shared_ptr<Classifier> member,
                                    double weight) {
-  const auto* by_ids = dynamic_cast<const FeatureClassifier*>(member.get());
-  if (members_.empty() && by_ids != nullptr) {
-    shared_extractor_ = by_ids->extractor();
-  }
-  if (by_ids != nullptr && by_ids->extractor() != shared_extractor_) {
-    by_ids = nullptr;
-  }
-  members_.push_back({std::move(member), weight, by_ids});
+  members_.emplace_back(std::move(member), weight);
 }
 
 std::vector<ScoredLabel> EnsembleClassifier::Predict(
     const data::ProductItem& item) const {
-  std::vector<text::TokenId> ids;
-  if (shared_extractor_ != nullptr) {
-    ids = shared_extractor_->LookupFeatureIds(item);
-  }
   std::unordered_map<std::string, double> sums;
   double total_weight = 0.0;
-  for (const auto& [member, weight, by_ids] : members_) {
-    std::vector<ScoredLabel> scored;
-    if (by_ids == nullptr) {
-      scored = member->Predict(item);
-    } else if (!ids.empty()) {
-      scored = by_ids->PredictIds(ids);
-    }
+  for (const auto& [member, weight] : members_) {
+    auto scored = member->Predict(item);
     if (scored.empty()) continue;
     total_weight += weight;
     for (const auto& s : scored) {

@@ -6,16 +6,13 @@
 #include <vector>
 
 #include "src/ml/classifier.h"
-#include "src/ml/features.h"
 
 namespace rulekit::ml {
 
 /// Weighted score-averaging ensemble: the "combine them into an ensemble"
 /// step of the paper's default learning-based solution (§3.1). Member
 /// scores for the same label are summed with member weights and
-/// renormalized. Members that are FeatureClassifiers over the first
-/// member's extractor share one feature lookup per item; any other member
-/// is asked through Predict.
+/// renormalized.
 class EnsembleClassifier : public Classifier {
  public:
   EnsembleClassifier() = default;
@@ -31,15 +28,7 @@ class EnsembleClassifier : public Classifier {
   std::string name() const override { return "ensemble"; }
 
  private:
-  struct Member {
-    std::shared_ptr<Classifier> classifier;
-    double weight;
-    // Set when the member scores the shared lookup's ids.
-    const FeatureClassifier* by_ids;
-  };
-
-  std::vector<Member> members_;
-  const FeatureExtractor* shared_extractor_ = nullptr;
+  std::vector<std::pair<std::shared_ptr<Classifier>, double>> members_;
 };
 
 }  // namespace rulekit::ml

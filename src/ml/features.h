@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "src/data/product.h"
-#include "src/ml/classifier.h"
 #include "src/text/tfidf.h"
 #include "src/text/tokenizer.h"
 #include "src/text/vocabulary.h"
@@ -60,32 +59,6 @@ class LabelSpace {
 
  private:
   text::Vocabulary vocab_;
-};
-
-/// Base of the learners that score an item's feature ids. Predict looks
-/// the ids up and hands them to PredictIds; an ensemble whose members share
-/// one extractor looks each item up once and calls PredictIds on them all.
-class FeatureClassifier : public Classifier {
- public:
-  explicit FeatureClassifier(std::shared_ptr<FeatureExtractor> extractor)
-      : extractor_(std::move(extractor)) {}
-
-  std::vector<ScoredLabel> Predict(
-      const data::ProductItem& item) const final {
-    auto ids = extractor_->LookupFeatureIds(item);
-    if (ids.empty()) return {};
-    return PredictIds(ids);
-  }
-
-  /// Ranked candidate types for the non-empty feature ids that extractor()
-  /// looked up for an item.
-  virtual std::vector<ScoredLabel> PredictIds(
-      const std::vector<text::TokenId>& ids) const = 0;
-
-  const FeatureExtractor* extractor() const { return extractor_.get(); }
-
- protected:
-  std::shared_ptr<FeatureExtractor> extractor_;
 };
 
 }  // namespace rulekit::ml

@@ -7,7 +7,7 @@ namespace rulekit::ml {
 
 KnnClassifier::KnnClassifier(std::shared_ptr<FeatureExtractor> extractor,
                              size_t k)
-    : FeatureClassifier(std::move(extractor)), k_(std::max<size_t>(1, k)) {}
+    : extractor_(std::move(extractor)), k_(std::max<size_t>(1, k)) {}
 
 void KnnClassifier::Train(const std::vector<data::LabeledItem>& data) {
   labels_ = LabelSpace();
@@ -29,9 +29,11 @@ void KnnClassifier::Train(const std::vector<data::LabeledItem>& data) {
   }
 }
 
-std::vector<ScoredLabel> KnnClassifier::PredictIds(
-    const std::vector<text::TokenId>& ids) const {
+std::vector<ScoredLabel> KnnClassifier::Predict(
+    const data::ProductItem& item) const {
   if (doc_labels_.empty()) return {};
+  auto ids = extractor_->LookupFeatureIds(item);
+  if (ids.empty()) return {};
   text::SparseVector query = tfidf_.VectorizeNormalized(ids);
 
   // Accumulate dot products over postings (vectors are normalized, so the

@@ -14,15 +14,15 @@ namespace rulekit::ml {
 /// inverted index from token to training documents (only documents sharing
 /// at least one token with the query are scored). Another stock member of
 /// Chimera's learning ensemble.
-class KnnClassifier : public FeatureClassifier {
+class KnnClassifier : public Classifier {
  public:
   KnnClassifier(std::shared_ptr<FeatureExtractor> extractor, size_t k = 7);
 
   /// Replaces the model with one over `data`.
   void Train(const std::vector<data::LabeledItem>& data);
 
-  std::vector<ScoredLabel> PredictIds(
-      const std::vector<text::TokenId>& ids) const override;
+  std::vector<ScoredLabel> Predict(
+      const data::ProductItem& item) const override;
   std::string name() const override { return "knn"; }
 
   size_t num_examples() const { return doc_labels_.size(); }
@@ -34,6 +34,7 @@ class KnnClassifier : public FeatureClassifier {
     double weight;
   };
 
+  std::shared_ptr<FeatureExtractor> extractor_;
   size_t k_;
   LabelSpace labels_;
   text::TfIdfModel tfidf_;

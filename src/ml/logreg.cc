@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 namespace rulekit::ml {
 
 LogRegClassifier::LogRegClassifier(
     std::shared_ptr<FeatureExtractor> extractor, LogRegOptions options)
-    : FeatureClassifier(std::move(extractor)), options_(options) {}
+    : extractor_(std::move(extractor)), options_(options) {}
 
 void LogRegClassifier::Train(const std::vector<data::LabeledItem>& data) {
   labels_ = LabelSpace();
@@ -23,9 +22,10 @@ void LogRegClassifier::Train(const std::vector<data::LabeledItem>& data) {
   }
   num_features_ = extractor_->vocabulary().size();
   const size_t num_classes = labels_.size();
-  const size_t stride = num_features_ + 1;  // +1 bias
-  // Class-major while training: num_classes rows of `stride` weights.
-  weights_.assign(num_classes * stride, 0.0);
+  // Token-major: w(t, c) = weights_[t * num_classes + c], the bias row
+  // (t = num_features_) last.
+  weights_.assign((num_features_ + 1) * num_classes, 0.0);
+  double* bias = weights_.data() + num_features_ * num_classes;
 
   Rng rng(options_.seed);
   std::vector<size_t> order(xs.size());
@@ -42,8 +42,8 @@ void LogRegClassifier::Train(const std::vector<data::LabeledItem>& data) {
       const double inv_len = 1.0 / static_cast<double>(x.size());
       // logits = W x (x entries have weight inv_len; bias always on).
       for (size_t c = 0; c < num_classes; ++c) {
-        double z = weights_[c * stride + num_features_];
-        for (text::TokenId t : x) z += weights_[c * stride + t] * inv_len;
+        double z = bias[c];
+        for (text::TokenId t : x) z += weights_[t * num_classes + c] * inv_len;
         logits[c] = z;
       }
       double max_z = *std::max_element(logits.begin(), logits.end());
@@ -56,36 +56,23 @@ void LogRegClassifier::Train(const std::vector<data::LabeledItem>& data) {
         const double p = logits[c] / sum;
         const double grad = p - (ys[idx] == c ? 1.0 : 0.0);
         if (std::abs(grad) < 1e-9) continue;
-        double* w = &weights_[c * stride];
-        w[num_features_] -= lr * grad;
+        bias[c] -= lr * grad;
         const double step = lr * grad * inv_len;
         for (text::TokenId t : x) {
-          w[t] -= step + lr * options_.l2 * w[t];
+          double& w = weights_[t * num_classes + c];
+          w -= step + lr * options_.l2 * w;
         }
       }
     }
   }
-
-  // Transpose in place to token-major, following the permutation's
-  // cycles: the weight of (class c, token t) moves to t * num_classes + c.
-  std::vector<bool> placed(weights_.size(), false);
-  for (size_t start = 0; start < weights_.size(); ++start) {
-    if (placed[start]) continue;
-    double carry = weights_[start];
-    size_t from = start;
-    do {
-      const size_t to = (from % stride) * num_classes + from / stride;
-      std::swap(carry, weights_[to]);
-      placed[to] = true;
-      from = to;
-    } while (from != start);
-  }
 }
 
-std::vector<ScoredLabel> LogRegClassifier::PredictIds(
-    const std::vector<text::TokenId>& ids) const {
+std::vector<ScoredLabel> LogRegClassifier::Predict(
+    const data::ProductItem& item) const {
   const size_t num_classes = labels_.size();
   if (num_classes == 0) return {};
+  auto ids = extractor_->LookupFeatureIds(item);
+  if (ids.empty()) return {};
   // Features interned after training have no weights.
   std::vector<text::TokenId> usable;
   for (text::TokenId t : ids) {

@@ -22,7 +22,7 @@ struct LogRegOptions {
 /// token counts. Serves as the maximum-margin-style member of Chimera's
 /// ensemble (standing in for the paper's SVM; a linear decision boundary
 /// over the same features exercises the same pipeline role).
-class LogRegClassifier : public FeatureClassifier {
+class LogRegClassifier : public Classifier {
  public:
   LogRegClassifier(std::shared_ptr<FeatureExtractor> extractor,
                    LogRegOptions options = {});
@@ -30,16 +30,17 @@ class LogRegClassifier : public FeatureClassifier {
   /// Fits the weights by SGD, replacing the model.
   void Train(const std::vector<data::LabeledItem>& data);
 
-  std::vector<ScoredLabel> PredictIds(
-      const std::vector<text::TokenId>& ids) const override;
+  std::vector<ScoredLabel> Predict(
+      const data::ProductItem& item) const override;
   std::string name() const override { return "logreg"; }
 
  private:
+  std::shared_ptr<FeatureExtractor> extractor_;
   LogRegOptions options_;
   LabelSpace labels_;
   size_t num_features_ = 0;
-  // Token-major once trained: (num_features + 1 bias) rows of num_classes
-  // weights, the bias row last.
+  // Token-major: (num_features + 1 bias) rows of num_classes weights, the
+  // bias row last.
   std::vector<double> weights_;
 };
 

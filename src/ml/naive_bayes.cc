@@ -8,7 +8,7 @@ namespace rulekit::ml {
 
 NaiveBayesClassifier::NaiveBayesClassifier(
     std::shared_ptr<FeatureExtractor> extractor, double alpha)
-    : FeatureClassifier(std::move(extractor)), alpha_(alpha) {}
+    : extractor_(std::move(extractor)), alpha_(alpha) {}
 
 void NaiveBayesClassifier::Train(const std::vector<data::LabeledItem>& data) {
   labels_ = LabelSpace();
@@ -50,9 +50,11 @@ void NaiveBayesClassifier::Train(const std::vector<data::LabeledItem>& data) {
   }
 }
 
-std::vector<ScoredLabel> NaiveBayesClassifier::PredictIds(
-    const std::vector<text::TokenId>& ids) const {
+std::vector<ScoredLabel> NaiveBayesClassifier::Predict(
+    const data::ProductItem& item) const {
   if (log_prior_.empty()) return {};
+  auto ids = extractor_->LookupFeatureIds(item);
+  if (ids.empty()) return {};
 
   // Each class's joint log score adds one term per id, in id order.
   std::vector<double> scores = log_prior_;

@@ -11,7 +11,7 @@ namespace rulekit::ml {
 
 /// Multinomial Naive Bayes over token features with Laplace smoothing —
 /// one of the stock learners in Chimera's ensemble (§3.1/§3.3).
-class NaiveBayesClassifier : public FeatureClassifier {
+class NaiveBayesClassifier : public Classifier {
  public:
   /// `extractor` is shared with the other ensemble members so all see the
   /// same vocabulary; it must outlive the classifier.
@@ -21,8 +21,8 @@ class NaiveBayesClassifier : public FeatureClassifier {
   /// Fits class priors and token likelihoods, replacing the model.
   void Train(const std::vector<data::LabeledItem>& data);
 
-  std::vector<ScoredLabel> PredictIds(
-      const std::vector<text::TokenId>& ids) const override;
+  std::vector<ScoredLabel> Predict(
+      const data::ProductItem& item) const override;
   std::string name() const override { return "naive_bayes"; }
 
   size_t num_classes() const { return labels_.size(); }
@@ -33,6 +33,7 @@ class NaiveBayesClassifier : public FeatureClassifier {
     double log_p;
   };
 
+  std::shared_ptr<FeatureExtractor> extractor_;
   double alpha_;
   LabelSpace labels_;
   std::vector<double> log_prior_;

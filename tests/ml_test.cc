@@ -395,8 +395,9 @@ struct TrainedMembers {
   }
 };
 
-/// Forwards Predict only, so an ensemble holding it cannot share the
-/// member's feature lookup.
+/// Forwards Predict only, as a tracing wrapper around a member does
+/// (perfbench/src/staged.cc); an ensemble of such members must score
+/// exactly like one holding the learners themselves.
 class Forwarding : public Classifier {
  public:
   explicit Forwarding(std::shared_ptr<Classifier> inner)
