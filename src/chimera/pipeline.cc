@@ -1,8 +1,9 @@
 #include "src/chimera/pipeline.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
+#include <iterator>
+#include <mutex>
 #include <set>
 #include <span>
 
@@ -10,6 +11,26 @@
 #include "src/common/string_util.h"
 
 namespace rulekit::chimera {
+
+namespace {
+
+/// Adds one chunk's counters into the batch report (RunBatch writes
+/// predictions in place and counts cache records itself).
+void AddCounters(const BatchReport& part, BatchReport* into) {
+  into->gate_classified += part.gate_classified;
+  into->gate_rejected += part.gate_rejected;
+  into->classified += part.classified;
+  into->filtered += part.filtered;
+  into->suppressed += part.suppressed;
+  into->declined += part.declined;
+  into->cache_hits += part.cache_hits;
+  into->cache_misses += part.cache_misses;
+  into->cache_stale_drops += part.cache_stale_drops;
+  into->rules_executed += part.rules_executed;
+  into->rule_items += part.rule_items;
+}
+
+}  // namespace
 
 ChimeraPipeline::ChimeraPipeline(PipelineConfig config)
     : config_(std::move(config)) {
@@ -522,7 +543,6 @@ BatchReport ChimeraPipeline::RunBatch(
   // version the snapshot pinned.
   auto snap = CurrentSnapshot();
   auto memo = gate_.snapshot();
-  ThreadPool* pool = pool_.get();
   // Resolve the tenant's serving view once for the whole batch (see
   // Classify); a tenant without one serves the default view.
   const PipelineSnapshot::TenantView& view = snap->ViewFor(tenant.value());
@@ -534,148 +554,113 @@ BatchReport ChimeraPipeline::RunBatch(
   BatchReport report;
   report.total = items.size();
   report.predictions.assign(items.size(), std::nullopt);
-  if (items.empty()) return report;  // ClassifiedFraction() guards total==0
 
-  // ---- Stage 1: gate decisions + hot-cache probes (sharded) --------------
-  // The lowered title is computed once per item and reused as the cache
-  // key (and later, for classified winners, as the Record key). Cache
-  // lookups happen only for items the gate passed; a hit is a voting
-  // winner from an earlier batch under the *same* version tag, so it is
-  // served exactly as stage 4 would have served it.
-  enum : uint8_t {
-    kPass = 0, kRejected, kGateClassified, kGateSuppressed, kCacheHit
-  };
-  std::vector<uint8_t> gate_outcome(items.size(), kPass);
-  std::vector<std::string> lowered(items.size());
-  std::atomic<size_t> cache_hits{0}, cache_misses{0}, cache_stale{0};
-  ParallelFor(pool, items.size(), [&](size_t begin, size_t end) {
-    size_t hits = 0, misses = 0, stale = 0;
+  // One pass per chunk: each chunk takes its own items through gate,
+  // cache probe, rule match, scoring, voting and filter. Predictions are
+  // written by item index; counters are per-chunk sums merged once, so
+  // the result is identical to the sequential path whatever the chunking.
+  std::mutex merge_mu;
+  std::vector<std::pair<size_t, std::string>> winners;  // (item, cache key)
+  ParallelFor(pool_.get(), items.size(), [&](size_t begin, size_t end) {
+    BatchReport part;
+    std::vector<const data::ProductItem*> pass;
+    std::vector<size_t> pass_idx;
+    std::vector<std::string> pass_keys;
     for (size_t i = begin; i < end; ++i) {
+      // The lowered title is both the gate's input and the cache key.
       std::string low = ToLowerAscii(items[i].title);
       GateDecision d = GateKeeper::DecideLowered(*memo, items[i], low);
       if (d.kind == GateDecision::Kind::kRejected) {
-        gate_outcome[i] = kRejected;
+        ++part.gate_rejected;
         continue;
       }
       if (d.kind == GateDecision::Kind::kClassified) {
         if (view.suppressed.count(d.type)) {
-          gate_outcome[i] = kGateSuppressed;
+          ++part.suppressed;
         } else {
-          gate_outcome[i] = kGateClassified;
+          ++part.gate_classified;
           report.predictions[i] = std::move(d.type);
         }
         continue;
       }
       if (cache != nullptr) {
+        // A hit is a voting winner from an earlier batch under the same
+        // version tag, so it is served exactly as voting would serve it.
         engine::CacheLookup cached = cache->Lookup(low, view.tag);
         if (cached.hit) {
-          gate_outcome[i] = kCacheHit;
+          ++part.cache_hits;
+          ++part.classified;
           report.predictions[i] = std::move(cached.type);
-          ++hits;
           continue;
         }
-        ++misses;
-        if (cached.stale_dropped) ++stale;
+        ++part.cache_misses;
+        if (cached.stale_dropped) ++part.cache_stale_drops;
+        pass_keys.push_back(std::move(low));
       }
-      lowered[i] = std::move(low);
+      pass_idx.push_back(i);
+      pass.push_back(&items[i]);
     }
-    if (cache != nullptr) {
-      cache_hits.fetch_add(hits, std::memory_order_relaxed);
-      cache_misses.fetch_add(misses, std::memory_order_relaxed);
-      cache_stale.fetch_add(stale, std::memory_order_relaxed);
-    }
-  });
-  report.cache_hits = cache_hits.load();
-  report.cache_misses = cache_misses.load();
-  report.cache_stale_drops = cache_stale.load();
 
-  std::vector<size_t> pass_idx;
-  std::vector<const data::ProductItem*> pass_ptrs;
-  std::vector<std::string> pass_lowered;
-  for (size_t i = 0; i < items.size(); ++i) {
-    switch (gate_outcome[i]) {
-      case kRejected: ++report.gate_rejected; break;
-      case kGateClassified: ++report.gate_classified; break;
-      case kGateSuppressed: ++report.suppressed; break;
-      case kCacheHit: ++report.classified; break;
-      default:
-        pass_idx.push_back(i);
-        pass_ptrs.push_back(&items[i]);
-        if (cache != nullptr) pass_lowered.push_back(std::move(lowered[i]));
-        break;
+    std::vector<std::pair<size_t, std::string>> admitted;
+    if (!pass.empty()) {
+      // Regex rules run once per item; the matches feed both the rule
+      // member's vote and the Filter.
+      engine::ShardedExecution exec = rule_classifier.MatchBatch(pass, nullptr);
+      part.rules_executed = exec.total_evaluations();
+      part.rule_items = pass.size();
+      std::vector<std::vector<ml::ScoredLabel>> rule_scored;
+      const ml::Classifier* precomputed = nullptr;
+      if (config_.use_rules) {
+        rule_scored.reserve(pass.size());
+        for (size_t j = 0; j < pass.size(); ++j) {
+          rule_scored.push_back(rule_classifier.ScoreMatches(exec, j));
+        }
+        precomputed = &rule_classifier;
+      }
+      auto votes =
+          view.voting->VoteBatch(pass, nullptr, precomputed, &rule_scored);
+      for (size_t j = 0; j < pass.size(); ++j) {
+        if (!votes[j].has_value()) {
+          ++part.declined;
+          continue;
+        }
+        const std::string& label = votes[j]->label;
+        if (view.suppressed.count(label)) {
+          ++part.suppressed;
+          continue;
+        }
+        if (!view.filter->AdmitWithMatches(*pass[j], label, exec, j)) {
+          ++part.filtered;
+          continue;
+        }
+        ++part.classified;
+        report.predictions[pass_idx[j]] = label;
+        if (cache != nullptr) {
+          admitted.emplace_back(pass_idx[j], std::move(pass_keys[j]));
+        }
+      }
+    }
+
+    std::lock_guard<std::mutex> lock(merge_mu);
+    AddCounters(part, &report);
+    winners.insert(winners.end(), std::make_move_iterator(admitted.begin()),
+                   std::make_move_iterator(admitted.end()));
+  });
+
+  // Offer the confident winners to the cache only after every chunk's
+  // lookups, in item order on this thread: no lookup in this batch sees a
+  // winner recorded by the same batch (cache-on output stays identical to
+  // cache-off), and the cache sees one record order whatever the chunking.
+  if (cache != nullptr) {
+    std::sort(winners.begin(), winners.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (const auto& [i, key] : winners) {
+      engine::CacheRecord rec =
+          cache->Record(key, *report.predictions[i], view.tag);
+      report.cache_promotions += rec.admitted;
+      report.cache_evictions += rec.evicted;
     }
   }
-  if (pass_ptrs.empty()) return report;
-
-  // ---- Stage 2: regex rule matches, once per batch per shard -------------
-  engine::ShardedExecution exec = rule_classifier.MatchBatch(pass_ptrs, pool);
-  report.rules_executed = exec.total_evaluations();
-  report.rule_items = pass_ptrs.size();
-
-  // ---- Stage 3: voting (rule member scored from the stage-2 matches) -----
-  std::vector<std::vector<ml::ScoredLabel>> rule_scored;
-  const ml::Classifier* precomputed = nullptr;
-  if (config_.use_rules) {
-    rule_scored.resize(pass_ptrs.size());
-    ParallelFor(pool, pass_ptrs.size(), [&](size_t begin, size_t end) {
-      for (size_t j = begin; j < end; ++j) {
-        rule_scored[j] = rule_classifier.ScoreMatches(exec, j);
-      }
-    });
-    precomputed = &rule_classifier;
-  }
-  auto votes =
-      view.voting->VoteBatch(pass_ptrs, pool, precomputed, &rule_scored);
-
-  // ---- Stage 4: suppression + filter + accounting ------------------------
-  // Counters are per-chunk sums and predictions are written by disjoint
-  // index, so the result is identical to the sequential path (and the
-  // counter merge never divides — ratios are computed once, by
-  // BatchReport, with the total==0 guard).
-  std::atomic<size_t> declined{0}, suppressed{0}, filtered{0}, classified{0};
-  std::atomic<size_t> promotions{0}, evictions{0};
-  ParallelFor(pool, pass_ptrs.size(), [&](size_t begin, size_t end) {
-    size_t n_declined = 0, n_suppressed = 0, n_filtered = 0, n_classified = 0;
-    size_t n_promotions = 0, n_evictions = 0;
-    for (size_t j = begin; j < end; ++j) {
-      if (!votes[j].has_value()) {
-        ++n_declined;
-        continue;
-      }
-      const std::string& label = votes[j]->label;
-      if (view.suppressed.count(label)) {
-        ++n_suppressed;
-        continue;
-      }
-      if (!view.filter->AdmitWithMatches(*pass_ptrs[j], label, exec, j)) {
-        ++n_filtered;
-        continue;
-      }
-      ++n_classified;
-      report.predictions[pass_idx[j]] = label;
-      // Offer the confident winner to the cache. Every stage-1 lookup
-      // already completed (stage barriers), so records never change what
-      // this batch serves — only future batches.
-      if (cache != nullptr) {
-        engine::CacheRecord rec =
-            cache->Record(pass_lowered[j], label, view.tag);
-        n_promotions += rec.admitted;
-        n_evictions += rec.evicted;
-      }
-    }
-    declined.fetch_add(n_declined, std::memory_order_relaxed);
-    suppressed.fetch_add(n_suppressed, std::memory_order_relaxed);
-    filtered.fetch_add(n_filtered, std::memory_order_relaxed);
-    classified.fetch_add(n_classified, std::memory_order_relaxed);
-    promotions.fetch_add(n_promotions, std::memory_order_relaxed);
-    evictions.fetch_add(n_evictions, std::memory_order_relaxed);
-  });
-  report.declined += declined.load();
-  report.suppressed += suppressed.load();
-  report.filtered += filtered.load();
-  report.classified += classified.load();
-  report.cache_promotions += promotions.load();
-  report.cache_evictions += evictions.load();
   return report;
 }
 

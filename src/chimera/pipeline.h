@@ -204,12 +204,12 @@ struct PipelineSnapshot {
 ///    synchronous RetrainLearning() wrapper just requests and waits.
 ///  - GateKeeper::Memoize is its own (copy-on-write) writer path and
 ///    needs no snapshot republish.
-/// Batch classification additionally fans work out over a shared ThreadPool when
-/// `config.batch_threads > 1`: gate decisions, the per-shard indexed
-/// regex batch executors, member voting, and the finalize stage all run
-/// on sharded item ranges, with per-chunk partial BatchReports merged in
-/// chunk order, so parallel output is identical to the sequential path —
-/// and identical for any shard count.
+/// Batch classification additionally fans work out over a shared ThreadPool
+/// when `config.batch_threads > 1`: one pass over contiguous item ranges,
+/// each chunk taking its items through gate, cache probe, rule match,
+/// voting and filter, with per-chunk partial BatchReports merged once and
+/// cache records deferred to the end — so parallel output is identical to
+/// the sequential path, and identical for any shard count.
 class ChimeraPipeline {
  public:
   explicit ChimeraPipeline(PipelineConfig config = {});
@@ -422,7 +422,7 @@ class ChimeraPipeline {
   void RepublishAll();
 
   /// The classification engine behind Classify(ClassifyRequest): one
-  /// pinned snapshot, staged batch execution, full accounting. Factored
+  /// pinned snapshot, one pass per item chunk, full accounting. Factored
   /// out so the public entry point is exactly admission (deadline /
   /// durability checks) + this.
   BatchReport RunBatch(std::span<const data::ProductItem> items,

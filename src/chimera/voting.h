@@ -113,30 +113,20 @@ class ShardedFilter {
   explicit ShardedFilter(std::vector<std::shared_ptr<const Filter>> shards)
       : shards_(std::move(shards)) {}
 
-  bool Admit(const data::ProductItem& item,
-             const std::string& predicted) const {
-    for (const auto& shard : shards_) {
-      if (!shard->Admit(item, predicted)) return false;
-    }
-    return true;
-  }
-
-  /// Batch-path variant; each shard's Filter gets that shard's regex
-  /// matches for item `index` of `exec`.
+  /// Each shard's Filter gets that shard's regex matches for item `index`
+  /// of `exec`.
   bool AdmitWithMatches(const data::ProductItem& item,
                         const std::string& predicted,
                         const engine::ShardedExecution& exec,
                         size_t index) const {
     for (size_t s = 0; s < shards_.size(); ++s) {
-      if (!shards_[s]->AdmitWithMatches(
-              item, predicted, exec.per_shard[s].matches_per_item[index])) {
+      if (!shards_[s]->AdmitWithMatches(item, predicted,
+                                        exec.Matches(index, s))) {
         return false;
       }
     }
     return true;
   }
-
-  size_t shard_count() const { return shards_.size(); }
 
  private:
   std::vector<std::shared_ptr<const Filter>> shards_;

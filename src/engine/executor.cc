@@ -27,57 +27,51 @@ RuleExecutor::RuleExecutor(const rules::RuleSet& set,
   }
 }
 
+size_t RuleExecutor::Match(const data::ProductItem& item,
+                           RuleIndex::Scratch& scratch,
+                           std::vector<size_t>& candidates,
+                           std::vector<size_t>& out) const {
+  out.clear();
+  if (options_.use_index) index_.Candidates(item.title, scratch, candidates);
+  const std::vector<size_t>& to_try =
+      options_.use_index ? candidates : active_regex_rules_;
+  const auto& all = set_.rules();
+  for (size_t rule_idx : to_try) {
+    if (all[rule_idx].pattern_regex()->PartialMatch(item.title)) {
+      out.push_back(rule_idx);
+    }
+  }
+  return to_try.size();
+}
+
 ExecutionResult RuleExecutor::Execute(
-    const std::vector<const data::ProductItem*>& items,
-    ThreadPool* pool) const {
+    const std::vector<data::ProductItem>& items, ThreadPool* pool) const {
   ExecutionResult result;
   result.matches_per_item.resize(items.size());
   std::atomic<size_t> evals{0};
   std::atomic<size_t> matches{0};
-  const auto& all = set_.rules();
 
   Stopwatch timer;
-  auto run_range = [&](size_t begin, size_t end) {
+  ParallelFor(pool, items.size(), [&](size_t begin, size_t end) {
     size_t local_evals = 0, local_matches = 0;
     // One scratch + candidate vector per worker: the indexed path reuses
     // their capacity across every item in the range.
     RuleIndex::Scratch scratch;
     std::vector<size_t> candidates;
     for (size_t i = begin; i < end; ++i) {
-      const data::ProductItem& item = *items[i];
       auto& out = result.matches_per_item[i];
-      if (options_.use_index) {
-        index_.Candidates(item.title, scratch, candidates);
-      }
-      const std::vector<size_t>& to_try =
-          options_.use_index ? candidates : active_regex_rules_;
-      for (size_t rule_idx : to_try) {
-        ++local_evals;
-        if (all[rule_idx].pattern_regex()->PartialMatch(item.title)) {
-          out.push_back(rule_idx);
-          ++local_matches;
-        }
-      }
+      local_evals += Match(items[i], scratch, candidates, out);
+      local_matches += out.size();
     }
     evals.fetch_add(local_evals, std::memory_order_relaxed);
     matches.fetch_add(local_matches, std::memory_order_relaxed);
-  };
-
-  ParallelFor(pool, items.size(), run_range);
+  });
 
   result.stats.items = items.size();
   result.stats.rule_evaluations = evals.load();
   result.stats.matches = matches.load();
   result.stats.seconds = timer.ElapsedSeconds();
   return result;
-}
-
-ExecutionResult RuleExecutor::Execute(
-    const std::vector<data::ProductItem>& items, ThreadPool* pool) const {
-  std::vector<const data::ProductItem*> ptrs;
-  ptrs.reserve(items.size());
-  for (const auto& item : items) ptrs.push_back(&item);
-  return Execute(ptrs, pool);
 }
 
 }  // namespace rulekit::engine

@@ -21,7 +21,7 @@ struct ExecutorOptions {
   /// RuleIndex::Build's three-arg overload): rules are re-bucketed onto
   /// their rarest required-literal set. Null/empty = structural build.
   /// Shared so snapshot republishes don't copy the sample per shard.
-  std::shared_ptr<const std::vector<std::string>> index_sample;
+  std::shared_ptr<const std::vector<std::string>> index_sample = nullptr;
 };
 
 /// Aggregate counters from one execution.
@@ -58,16 +58,13 @@ class RuleExecutor {
   ExecutionResult Execute(const std::vector<data::ProductItem>& items,
                           ThreadPool* pool = nullptr) const;
 
-  /// Zero-copy batch path: the serving pipeline classifies a subset of a
-  /// batch (items the gate keeper passed through) without materializing a
-  /// compacted item vector.
-  ExecutionResult Execute(const std::vector<const data::ProductItem*>& items,
-                          ThreadPool* pool) const;
-
-  /// The literal-prefilter index (built only when options.use_index); the
-  /// rule-based classifier shares it for per-item candidate pruning so the
-  /// index is built once per snapshot.
-  const RuleIndex& index() const { return index_; }
+  /// Matches one item: sets `out` to the indices of the active regex rules
+  /// whose pattern matches its title, in ascending order, and returns the
+  /// number of regex evaluations performed. `scratch` and `candidates` are
+  /// the caller's reusable buffers (one per thread).
+  size_t Match(const data::ProductItem& item, RuleIndex::Scratch& scratch,
+               std::vector<size_t>& candidates,
+               std::vector<size_t>& out) const;
 
   const RuleIndexStats& index_stats() const { return index_.stats(); }
 

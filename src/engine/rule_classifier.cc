@@ -30,15 +30,10 @@ std::vector<ml::ScoredLabel> TypeProposals::Finalize() const {
 RuleBasedClassifier::RuleBasedClassifier(
     std::shared_ptr<const rules::RuleSet> rules,
     RuleClassifierOptions options)
-    : rules_(std::move(rules)), options_(options) {
-  Rebuild();
-}
-
-void RuleBasedClassifier::Rebuild() {
-  executor_ = std::make_unique<RuleExecutor>(
-      *rules_, ExecutorOptions{.use_index = options_.use_index,
-                               .index_sample = options_.index_sample});
-}
+    : rules_(std::move(rules)),
+      executor_(*rules_,
+                ExecutorOptions{.use_index = options.use_index,
+                                .index_sample = options.index_sample}) {}
 
 void RuleBasedClassifier::AccumulateMatches(const std::vector<size_t>& matched,
                                             TypeProposals* out) const {
@@ -66,48 +61,19 @@ void RuleBasedClassifier::AccumulateMatches(const std::vector<size_t>& matched,
   }
 }
 
-std::vector<ml::ScoredLabel> RuleBasedClassifier::ScoreMatches(
-    const std::vector<size_t>& matched) const {
+std::vector<ml::ScoredLabel> RuleBasedClassifier::Predict(
+    const data::ProductItem& item) const {
+  RuleIndex::Scratch scratch;
+  std::vector<size_t> candidates, matched;
+  Match(item, scratch, candidates, matched);
   TypeProposals proposals;
   AccumulateMatches(matched, &proposals);
   return proposals.Finalize();
 }
 
-std::vector<ml::ScoredLabel> RuleBasedClassifier::Predict(
-    const data::ProductItem& item) const {
-  std::vector<const data::ProductItem*> one{&item};
-  auto exec = executor_->Execute(one, nullptr);
-  return ScoreMatches(exec.matches_per_item[0]);
-}
-
-ExecutionResult RuleBasedClassifier::MatchBatch(
-    const std::vector<const data::ProductItem*>& items,
-    ThreadPool* pool) const {
-  return executor_->Execute(items, pool);
-}
-
-std::vector<std::vector<ml::ScoredLabel>> RuleBasedClassifier::PredictBatch(
-    const std::vector<const data::ProductItem*>& items,
-    ThreadPool* pool) const {
-  auto exec = MatchBatch(items, pool);
-  std::vector<std::vector<ml::ScoredLabel>> out(items.size());
-  auto score = [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      out[i] = ScoreMatches(exec.matches_per_item[i]);
-    }
-  };
-  ParallelFor(pool, items.size(), score);
-  return out;
-}
-
 AttrValueClassifier::AttrValueClassifier(
     std::shared_ptr<const rules::RuleSet> rules)
     : rules_(std::move(rules)) {
-  Rebuild();
-}
-
-void AttrValueClassifier::Rebuild() {
-  attr_rules_.clear();
   const auto& all = rules_->rules();
   for (size_t i = 0; i < all.size(); ++i) {
     const rules::Rule& rule = all[i];

@@ -41,7 +41,7 @@ struct RuleClassifierOptions {
   /// Optional title sample for the corpus-aware index build (forwarded to
   /// ExecutorOptions::index_sample). Output is identical either way; only
   /// candidate-list sizes change.
-  std::shared_ptr<const std::vector<std::string>> index_sample;
+  std::shared_ptr<const std::vector<std::string>> index_sample = nullptr;
 };
 
 /// Chimera's rule-based classifier (§3.3): whitelist rules propose types,
@@ -50,64 +50,43 @@ struct RuleClassifierOptions {
 /// run before ANY blacklist rule, so execution order within each phase
 /// cannot change the output.
 ///
-/// Built against one (ideally immutable snapshot) rule set; the serving
-/// pipeline constructs a fresh classifier per published snapshot, so a
-/// const classifier is safe for concurrent Predict/PredictBatch. The
-/// regex matching itself is delegated to a RuleExecutor (one shared
-/// literal-prefilter index per snapshot; indexed batch path over items).
+/// Built against one immutable rule-set snapshot; the serving pipeline
+/// constructs a fresh classifier per published snapshot, so a const
+/// classifier is safe for concurrent use. The regex matching itself is
+/// delegated to a RuleExecutor (one literal-prefilter index per snapshot).
 class RuleBasedClassifier : public ml::Classifier {
  public:
-  /// `rules` should be an immutable snapshot when used concurrently; if it
-  /// aliases a mutable set, call Rebuild() after any mutation.
   RuleBasedClassifier(std::shared_ptr<const rules::RuleSet> rules,
                       RuleClassifierOptions options = {});
-
-  /// Re-derives the executor (rule index + active-rule list) from the
-  /// current rule set.
-  void Rebuild();
 
   std::vector<ml::ScoredLabel> Predict(
       const data::ProductItem& item) const override;
 
-  /// Indexed batch path: one RuleExecutor run over the whole batch, then
-  /// per-item scoring from the matches. Identical output to per-item
-  /// Predict.
-  std::vector<std::vector<ml::ScoredLabel>> PredictBatch(
-      const std::vector<const data::ProductItem*>& items,
-      ThreadPool* pool) const override;
-
-  /// Raw regex matches for a batch (rule indices into the rule set). The
-  /// serving pipeline runs this once per batch and feeds the matches to
-  /// both the voting stage (via ScoreMatches) and the Filter, so blacklist
-  /// regexes are evaluated once per item per batch.
-  ExecutionResult MatchBatch(const std::vector<const data::ProductItem*>& items,
-                             ThreadPool* pool) const;
-
-  /// Converts one item's matched rule indices into the two-phase
-  /// whitelist-propose / blacklist-veto scored labels.
-  std::vector<ml::ScoredLabel> ScoreMatches(
-      const std::vector<size_t>& matched) const;
+  /// Raw regex matches for one item (rule indices into the rule set; see
+  /// RuleExecutor::Match). The serving pipeline matches once per item and
+  /// feeds the matches to both voting (via AccumulateMatches) and the
+  /// Filter, so blacklist regexes are evaluated once per item per batch.
+  size_t Match(const data::ProductItem& item, RuleIndex::Scratch& scratch,
+               std::vector<size_t>& candidates,
+               std::vector<size_t>& out) const {
+    return executor_.Match(item, scratch, candidates, out);
+  }
 
   /// Accumulates one item's matches into `out` without finalizing, so a
   /// sharded classifier can merge several shards' proposals/vetoes before
-  /// the single finalize. ScoreMatches == accumulate-then-Finalize.
+  /// the single finalize. Predict == match, accumulate, then Finalize.
   void AccumulateMatches(const std::vector<size_t>& matched,
                          TypeProposals* out) const;
 
   std::string name() const override { return "rule_based"; }
 
-  const RuleIndexStats& index_stats() const {
-    return executor_->index_stats();
-  }
-
-  /// Active regex rules behind this classifier (0 = MatchBatch is a no-op
+  /// Active regex rules behind this classifier (0 = Match finds nothing
   /// and the sharded path skips it).
-  size_t active_rule_count() const { return executor_->active_rule_count(); }
+  size_t active_rule_count() const { return executor_.active_rule_count(); }
 
  private:
   std::shared_ptr<const rules::RuleSet> rules_;
-  RuleClassifierOptions options_;
-  std::unique_ptr<RuleExecutor> executor_;
+  RuleExecutor executor_;
 };
 
 /// Chimera's attribute/value-based classifier (§3.3): attribute-existence
@@ -116,15 +95,11 @@ class RuleBasedClassifier : public ml::Classifier {
 /// negative predicate rules veto them.
 ///
 /// The relevant (non-regex) active rules are gathered once at
-/// construction, so prediction cost scales with the number of attribute/
-/// predicate rules, not the whole repository. Rebuild after mutating the
-/// underlying set; snapshot-built instances never need to.
+/// construction over an immutable snapshot, so prediction cost scales with
+/// the number of attribute/predicate rules, not the whole repository.
 class AttrValueClassifier : public ml::Classifier {
  public:
   explicit AttrValueClassifier(std::shared_ptr<const rules::RuleSet> rules);
-
-  /// Re-gathers the active attribute/predicate rules.
-  void Rebuild();
 
   std::vector<ml::ScoredLabel> Predict(
       const data::ProductItem& item) const override;

@@ -1,20 +1,32 @@
 #include "src/engine/sharded_classifier.h"
 
+#include <atomic>
+
 namespace rulekit::engine {
 
 ShardedExecution ShardedRuleClassifier::MatchBatch(
     const std::vector<const data::ProductItem*>& items,
     ThreadPool* pool) const {
   ShardedExecution out;
-  out.per_shard.resize(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (shards_[s]->active_rule_count() == 0) {
-      // Nothing to run; keep per-item indexing uniform for consumers.
-      out.per_shard[s].matches_per_item.resize(items.size());
-      continue;
+  out.shard_count = shards_.size();
+  out.matches.resize(items.size() * shards_.size());
+  std::atomic<size_t> evaluations{0};
+  ParallelFor(pool, items.size(), [&](size_t begin, size_t end) {
+    RuleIndex::Scratch scratch;
+    std::vector<size_t> candidates;
+    size_t local = 0;
+    // Shard-major within the chunk, so one shard's index and regexes stay
+    // warm in cache across the chunk's items.
+    for (size_t s = 0; s < shards_.size(); ++s) {
+      if (shards_[s]->active_rule_count() == 0) continue;
+      for (size_t j = begin; j < end; ++j) {
+        local += shards_[s]->Match(*items[j], scratch, candidates,
+                                   out.matches[j * out.shard_count + s]);
+      }
     }
-    out.per_shard[s] = shards_[s]->MatchBatch(items, pool);
-  }
+    evaluations.fetch_add(local, std::memory_order_relaxed);
+  });
+  out.evaluations = evaluations.load();
   return out;
 }
 
@@ -22,31 +34,22 @@ std::vector<ml::ScoredLabel> ShardedRuleClassifier::ScoreMatches(
     const ShardedExecution& exec, size_t index) const {
   TypeProposals proposals;
   for (size_t s = 0; s < shards_.size(); ++s) {
-    shards_[s]->AccumulateMatches(exec.per_shard[s].matches_per_item[index],
-                                  &proposals);
+    shards_[s]->AccumulateMatches(exec.Matches(index, s), &proposals);
   }
   return proposals.Finalize();
 }
 
 std::vector<ml::ScoredLabel> ShardedRuleClassifier::Predict(
     const data::ProductItem& item) const {
-  std::vector<const data::ProductItem*> one{&item};
-  ShardedExecution exec = MatchBatch(one, nullptr);
-  return ScoreMatches(exec, 0);
-}
-
-std::vector<std::vector<ml::ScoredLabel>> ShardedRuleClassifier::PredictBatch(
-    const std::vector<const data::ProductItem*>& items,
-    ThreadPool* pool) const {
-  ShardedExecution exec = MatchBatch(items, pool);
-  std::vector<std::vector<ml::ScoredLabel>> out(items.size());
-  auto score = [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      out[i] = ScoreMatches(exec, i);
-    }
-  };
-  ParallelFor(pool, items.size(), score);
-  return out;
+  RuleIndex::Scratch scratch;
+  std::vector<size_t> candidates, matched;
+  TypeProposals proposals;
+  for (const auto& shard : shards_) {
+    if (shard->active_rule_count() == 0) continue;
+    shard->Match(item, scratch, candidates, matched);
+    shard->AccumulateMatches(matched, &proposals);
+  }
+  return proposals.Finalize();
 }
 
 std::vector<ml::ScoredLabel> ShardedAttrValueClassifier::Predict(

@@ -10,19 +10,20 @@
 
 namespace rulekit::engine {
 
-/// Regex match results for one batch across every shard: element s holds
-/// shard s's ExecutionResult (matches indexed into that shard's RuleSet).
-/// Shards with no active regex rules carry an empty-but-sized result so
-/// per-item indexing stays uniform.
+/// Regex match results for one batch across every shard, item-major:
+/// Matches(j, s) holds item j's matches in shard s (indices into that
+/// shard's RuleSet; empty for a shard with no active regex rules).
 struct ShardedExecution {
-  std::vector<ExecutionResult> per_shard;
+  size_t shard_count = 0;
+  std::vector<std::vector<size_t>> matches;  // [item * shard_count + shard]
+  size_t evaluations = 0;
+
+  const std::vector<size_t>& Matches(size_t item, size_t shard) const {
+    return matches[item * shard_count + shard];
+  }
 
   /// Sum of regex evaluations actually performed across shards.
-  size_t total_evaluations() const {
-    size_t total = 0;
-    for (const auto& exec : per_shard) total += exec.stats.rule_evaluations;
-    return total;
-  }
+  size_t total_evaluations() const { return evaluations; }
 };
 
 /// The rule-based classifier over a sharded repository: one per-shard
@@ -41,8 +42,9 @@ class ShardedRuleClassifier : public ml::Classifier {
       std::vector<std::shared_ptr<const RuleBasedClassifier>> shards)
       : shards_(std::move(shards)) {}
 
-  /// Runs each shard's batch executor over the items; shards with zero
-  /// active regex rules are skipped (their results stay empty-but-sized).
+  /// Matches every item against every shard in one pass over the items
+  /// (parallel over `pool` when given); shards with zero active regex
+  /// rules are skipped.
   ShardedExecution MatchBatch(
       const std::vector<const data::ProductItem*>& items,
       ThreadPool* pool) const;
@@ -54,17 +56,8 @@ class ShardedRuleClassifier : public ml::Classifier {
   std::vector<ml::ScoredLabel> Predict(
       const data::ProductItem& item) const override;
 
-  std::vector<std::vector<ml::ScoredLabel>> PredictBatch(
-      const std::vector<const data::ProductItem*>& items,
-      ThreadPool* pool) const override;
-
   // Matches the monolithic classifier so ensemble reports are stable.
   std::string name() const override { return "rule_based"; }
-
-  size_t shard_count() const { return shards_.size(); }
-  const RuleBasedClassifier& shard(size_t index) const {
-    return *shards_[index];
-  }
 
  private:
   std::vector<std::shared_ptr<const RuleBasedClassifier>> shards_;
@@ -83,8 +76,6 @@ class ShardedAttrValueClassifier : public ml::Classifier {
       const data::ProductItem& item) const override;
 
   std::string name() const override { return "attr_value"; }
-
-  size_t shard_count() const { return shards_.size(); }
 
  private:
   std::vector<std::shared_ptr<const AttrValueClassifier>> shards_;

@@ -33,8 +33,7 @@ class Classifier {
       const data::ProductItem& item) const = 0;
 
   /// Batch prediction, one ranked list per item. The default parallelizes
-  /// per-item Predict over `pool` (null = sequential); rule-based
-  /// classifiers override it with the indexed batch executor. Results are
+  /// per-item Predict over `pool` (null = sequential). Results are
   /// identical to calling Predict on each item.
   virtual std::vector<std::vector<ScoredLabel>> PredictBatch(
       const std::vector<const data::ProductItem*>& items,

@@ -83,6 +83,13 @@ void ExpectReportsEqual(const BatchReport& a, const BatchReport& b) {
   EXPECT_EQ(a.filtered, b.filtered);
   EXPECT_EQ(a.suppressed, b.suppressed);
   EXPECT_EQ(a.declined, b.declined);
+  EXPECT_EQ(a.rules_executed, b.rules_executed);
+  EXPECT_EQ(a.rule_items, b.rule_items);
+  EXPECT_EQ(a.cache_hits, b.cache_hits);
+  EXPECT_EQ(a.cache_misses, b.cache_misses);
+  EXPECT_EQ(a.cache_stale_drops, b.cache_stale_drops);
+  EXPECT_EQ(a.cache_promotions, b.cache_promotions);
+  EXPECT_EQ(a.cache_evictions, b.cache_evictions);
   ASSERT_EQ(a.predictions.size(), b.predictions.size());
   for (size_t i = 0; i < a.predictions.size(); ++i) {
     EXPECT_EQ(a.predictions[i], b.predictions[i]) << "item " << i;
@@ -253,6 +260,44 @@ TEST(SnapshotServingTest, ConcurrentBatchesShareThePool) {
   for (auto& t : threads) t.join();
   for (const auto& report : reports) {
     ExpectReportsEqual(expected, report);
+  }
+}
+
+// Cache records are deferred until every chunk of a batch has finished
+// and then run in item order: a repeated title never hits a winner
+// recorded by its own batch, and the cache ends the batch in the same
+// state whatever the chunking. A small cache (evictions) with admission on
+// the second sighting makes both visible in the next round's counters.
+TEST(SnapshotServingTest, CachedBatchIdenticalAcrossThreadCounts) {
+  Corpus corpus(800, 31, 16);
+  std::vector<data::ProductItem> batch = corpus.items;
+  batch.insert(batch.end(), corpus.items.begin(), corpus.items.end());
+
+  auto cached_config = [](size_t threads) {
+    PipelineConfig config;
+    config.batch_threads = threads;
+    config.hot_cache.enabled = true;
+    config.hot_cache.capacity = 256;
+    config.hot_cache.admit_after = 2;
+    return config;
+  };
+  ChimeraPipeline sequential(cached_config(0));
+  Provision(sequential, corpus);
+  ChimeraPipeline parallel(cached_config(4));
+  Provision(parallel, corpus);
+
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    BatchReport seq_report = RunBatch(sequential, batch);
+    BatchReport par_report = RunBatch(parallel, batch);
+    if (round == 0) {
+      EXPECT_EQ(seq_report.cache_hits, 0u);
+      EXPECT_GT(seq_report.cache_promotions, 0u);
+      EXPECT_GT(seq_report.cache_evictions, 0u);
+    } else {
+      EXPECT_GT(seq_report.cache_hits, 0u);
+    }
+    ExpectReportsEqual(seq_report, par_report);
   }
 }
 
